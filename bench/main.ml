@@ -154,12 +154,12 @@ let fig1b_mc_cell =
 
 let median_baseline () =
   let cfg = Vv_sim.Config.with_byzantine ~n:11 ~t_max:2 [ 9; 10 ] () in
-  let s =
-    Vv_analysis.Baseline_runner.run_median cfg
+  let _, trace =
+    Vv_sim.Engine.exec (module Vv_baselines.Median_validity) cfg
       ~inputs:(fun id -> 100 + id)
-      ~collude:true
+      ~adversary:(Vv_analysis.Baseline_runner.raw_collude ()) ()
   in
-  assert (not s.Vv_analysis.Baseline_runner.stalled)
+  assert (not trace.Vv_sim.Trace.stalled)
 
 let radio_ring () =
   let topo = Vv_radio.Topology.ring ~k:2 12 in
@@ -257,7 +257,7 @@ let gst_scheduler_step =
   in
   fun () ->
     let r = E.run_exn cfg ~inputs:(fun id -> id) () in
-    assert r.E.stalled
+    assert r.E.trace.Vv_sim.Trace.stalled
 
 let tally_micro =
   let inputs = List.init 1_000 (fun i -> Oid.of_int (i mod 5)) in

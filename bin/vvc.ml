@@ -271,7 +271,8 @@ let run_cmd =
               ("voting_validity", Json.Bool r.Runner.voting_validity);
               ("voting_validity_tb", Json.Bool r.Runner.voting_validity_tb);
               ("strong_validity", Json.Bool r.Runner.strong_validity);
-              ("safety_admissible", Json.Bool r.Runner.safety_admissible);
+              (* Definition V.1 is the tie-break-aware predicate itself. *)
+              ("safety_admissible", Json.Bool r.Runner.voting_validity_tb);
               ("stalled", Json.Bool r.Runner.stalled);
               ("rounds", Json.Int r.Runner.rounds);
               ("honest_msgs", Json.Int r.Runner.honest_msgs);
@@ -323,7 +324,7 @@ let run_cmd =
         Fmt.pr "voting valid : %b (tie-break-aware: %b)@."
           r.Runner.voting_validity r.Runner.voting_validity_tb;
         Fmt.pr "strong valid : %b@." r.Runner.strong_validity;
-        Fmt.pr "safety adm.  : %b@." r.Runner.safety_admissible;
+        Fmt.pr "safety adm.  : %b@." r.Runner.voting_validity_tb;
         Fmt.pr "rounds       : %d (stalled: %b)@." r.Runner.rounds
           r.Runner.stalled;
         Fmt.pr "messages     : honest=%d byzantine=%d@." r.Runner.honest_msgs
@@ -743,6 +744,15 @@ let serve_cmd =
       | Some path when Sys.file_exists path -> Sys.remove path
       | _ -> ()
     in
+    (* Both daemon kinds boot from the snapshot; refuse an unreadable one
+       here, as a usage error, rather than as an exception out of the
+       loop. *)
+    (match Vv_serve.Server.load_engine ~batch ~jobs ~snapshot cfg with
+    | Ok _ -> ()
+    | Error msg ->
+        cleanup ();
+        Fmt.epr "vvc serve: cannot load snapshot %s@." msg;
+        exit 1);
     match follow with
     | Some addr ->
         let log = if quiet then None else Some (Fmt.epr "[follow] %s@.") in

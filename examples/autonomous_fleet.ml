@@ -35,7 +35,7 @@ let pr_outcome label (r : Runner.outcome) =
   Fmt.pr "  termination=%b agreement=%b voting-validity=%b safe=%b \
           rounds=%d@.@."
     r.Runner.termination r.Runner.agreement r.Runner.voting_validity
-    r.Runner.safety_admissible r.Runner.rounds
+    r.Runner.voting_validity_tb r.Runner.rounds
 
 let () =
   Fmt.pr "== Autonomous fleet: agreeing on a manoeuvre (14 vehicles, 2 \

@@ -55,12 +55,12 @@ let () =
   Array.sort compare sorted;
   let true_median = sorted.(4) in
   let cfg = Vv_sim.Config.with_byzantine ~n:11 ~t_max:t [ 9; 10 ] () in
-  let m =
-    Vv_analysis.Baseline_runner.run_median cfg
+  let m, _ =
+    Vv_sim.Engine.exec (module Vv_baselines.Median_validity) cfg
       ~inputs:(fun id -> readings.(min id 8))
-      ~collude:true
+      ~adversary:(Vv_analysis.Baseline_runner.raw_collude ()) ()
   in
-  (match List.filter_map Fun.id m.Vv_analysis.Baseline_runner.outputs with
+  (match List.filter_map Fun.id m with
   | out :: _ ->
       Fmt.pr "median baseline agrees on: %d (true honest median %d, err %d)@."
         out true_median (abs (out - true_median))

@@ -1,15 +1,9 @@
-(* Engine plumbing for the baseline protocols (experiment E8): run each
-   comparator on a shared workload against a matched adversary and return
-   substrate-independent summaries. *)
+(* The adversaries the baseline protocols (experiment E8) face: matched
+   to each comparator's message type.  The protocols themselves run
+   through [Engine.exec]. *)
 
 open Vv_sim
 module B = Vv_baselines
-
-type summary = {
-  outputs : int option list;  (* honest, id order *)
-  rounds : int;
-  stalled : bool;
-}
 
 (* Adversary against the exchange-and-agree baselines: observe the honest
    Raw values in round 0 and flood the runner-up (same collusion the voting
@@ -61,54 +55,3 @@ let approx_outlier ~value : float Adversary.t =
           List.init view.Adversary.n (fun dst ->
               { Adversary.src; dst; msg = value }))
         view.Adversary.byzantine)
-
-module Median_E = Engine.Make (B.Median_validity)
-module Interval_E = Engine.Make (B.Interval_validity)
-module Strong_E = Engine.Make (B.Strong_consensus)
-module Kset_E = Engine.Make (B.Kset)
-module Approx_E = Engine.Make (B.Approx)
-
-let run_median cfg ~inputs ~collude =
-  let adversary = if collude then Some (raw_collude ()) else None in
-  let res = Median_E.run_exn cfg ~inputs ?adversary () in
-  {
-    outputs = Median_E.honest_outputs res;
-    rounds = res.Median_E.rounds_used;
-    stalled = res.Median_E.stalled;
-  }
-
-let run_interval cfg ~inputs ~collude =
-  let adversary = if collude then Some (raw_collude ()) else None in
-  let res = Interval_E.run_exn cfg ~inputs ?adversary () in
-  {
-    outputs = Interval_E.honest_outputs res;
-    rounds = res.Interval_E.rounds_used;
-    stalled = res.Interval_E.stalled;
-  }
-
-let run_strong cfg ~inputs ~collude =
-  let adversary = if collude then Some (raw_collude ()) else None in
-  let res = Strong_E.run_exn cfg ~inputs ?adversary () in
-  {
-    outputs = Strong_E.honest_outputs res;
-    rounds = res.Strong_E.rounds_used;
-    stalled = res.Strong_E.stalled;
-  }
-
-let run_kset cfg ~inputs =
-  let res = Kset_E.run_exn cfg ~inputs () in
-  {
-    outputs = Kset_E.honest_outputs res;
-    rounds = res.Kset_E.rounds_used;
-    stalled = res.Kset_E.stalled;
-  }
-
-(* Approx keeps float outputs; expose them directly. *)
-let run_approx cfg ~inputs ~outlier =
-  let adversary =
-    match outlier with None -> None | Some v -> Some (approx_outlier ~value:v)
-  in
-  let res = Approx_E.run_exn cfg ~inputs ?adversary () in
-  ( Approx_E.honest_outputs res,
-    res.Approx_E.rounds_used,
-    res.Approx_E.stalled )

@@ -18,6 +18,7 @@ module Rng = Vv_prelude.Rng
 module Validity = Vv_ballot.Validity
 module Property = Vv_ballot.Property
 module Campaign = Vv_exec.Campaign
+module Engine = Vv_sim.Engine
 
 type rates = {
   mutable exact : int;
@@ -31,16 +32,16 @@ let new_rates trials = { exact = 0; agree = 0; term = 0; trials }
 let rate n r = float_of_int n /. float_of_int r.trials
 
 (* Judge a run through the shared predicates: [Validity] for liveness and
-   agreement, the first-class voting property for exactness (with
-   termination, a non-empty decided list all equal to the plurality is
-   exactly the old first-decided-equals-target check). *)
+   agreement, the voting property's judge for exactness (an Exact verdict
+   — terminated, agreed, every output the plurality — is exactly the old
+   first-decided-equals-target check). *)
 let record r ~honest ~outputs =
   let term = Validity.termination ~outputs in
   let agree = Validity.agreement ~outputs in
   let exact =
-    term && agree
-    && Property.admissible Property.voting ~tie:Vv_ballot.Tie_break.default
-         ~t_tol:0 ~honest_inputs:honest ~outputs
+    Property.judge Property.voting ~tie:Vv_ballot.Tie_break.default ~t_tol:0
+      ~honest_inputs:honest ~outputs
+    = Property.Exact
   in
   if term then r.term <- r.term + 1;
   if agree then r.agree <- r.agree + 1;
@@ -74,22 +75,28 @@ let e8_election ?(trials = 120) ?(ng = 10) ?(t = 2) ?(seed = 0xe8) () =
     let cfg = Vv_sim.Config.with_byzantine ~seed ~n ~t_max:t byz () in
     let input_arr = Array.of_list honest in
     let as_int id = Oid.to_int input_arr.(min id (ng - 1)) in
-    let to_opts (s : Baseline_runner.summary) =
-      List.map
-        (Option.map (fun v -> Oid.of_int (max 0 v)))
-        s.Baseline_runner.outputs
+    let to_opts (outs, _) =
+      List.map (Option.map (fun v -> Oid.of_int (max 0 v))) outs
     in
-    let s = Baseline_runner.run_strong cfg ~inputs:as_int ~collude:true in
-    record strong ~honest ~outputs:(to_opts s);
-    let m = Baseline_runner.run_median cfg ~inputs:as_int ~collude:true in
-    record median ~honest ~outputs:(to_opts m);
-    let iv =
-      Baseline_runner.run_interval cfg
-        ~inputs:(fun id ->
-          { Vv_baselines.Interval_validity.value = as_int id; k = (ng + 1) / 2 })
-        ~collude:true
-    in
-    record interval ~honest ~outputs:(to_opts iv)
+    let collude = Baseline_runner.raw_collude in
+    record strong ~honest
+      ~outputs:
+        (to_opts
+           (Engine.exec (module Vv_baselines.Strong_consensus) cfg
+              ~inputs:as_int ~adversary:(collude ()) ()));
+    record median ~honest
+      ~outputs:
+        (to_opts
+           (Engine.exec (module Vv_baselines.Median_validity) cfg
+              ~inputs:as_int ~adversary:(collude ()) ()));
+    record interval ~honest
+      ~outputs:
+        (to_opts
+           (Engine.exec (module Vv_baselines.Interval_validity) cfg
+              ~inputs:(fun id ->
+                { Vv_baselines.Interval_validity.value = as_int id;
+                  k = (ng + 1) / 2 })
+              ~adversary:(collude ()) ()))
   done;
   let t_out =
     Table.create
@@ -136,21 +143,21 @@ let e8_sensor ?(trials = 60) ?(ng = 9) ?(t = 2) ?(seed = 0x5e45) () =
     let true_median = List.nth sorted (ng / 2) in
     let seed = Rng.bits rng in
     let cfg = Vv_sim.Config.with_byzantine ~seed ~n ~t_max:t byz () in
-    let m =
-      Baseline_runner.run_median cfg
+    let m, _ =
+      Engine.exec (module Vv_baselines.Median_validity) cfg
         ~inputs:(fun id -> base.(min id (ng - 1)))
-        ~collude:true
+        ~adversary:(Baseline_runner.raw_collude ()) ()
     in
-    (match List.filter_map Fun.id m.Baseline_runner.outputs with
+    (match List.filter_map Fun.id m with
     | [] -> incr med_stall
     | out :: _ ->
         abs_err := !abs_err +. abs_float (float_of_int (out - true_median)));
-    let outs, _, _ =
-      Baseline_runner.run_approx cfg
+    let outs, _ =
+      Engine.exec (module Vv_baselines.Approx) cfg
         ~inputs:(fun id ->
           { Vv_baselines.Approx.value = float_of_int base.(min id (ng - 1));
             rounds = 8 })
-        ~outlier:(Some 1e6)
+        ~adversary:(Baseline_runner.approx_outlier ~value:1e6) ()
     in
     approx_spread := !approx_spread +. Vv_baselines.Approx.spread outs;
     let r1 =

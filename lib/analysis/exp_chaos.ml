@@ -30,17 +30,13 @@ module Config = Vv_sim.Config
 module Adversary = Vv_sim.Adversary
 module Trace = Vv_sim.Trace
 module Na_voting = Vv_bb.Na_voting
+module Engine = Vv_sim.Engine
+module Oid = Vv_ballot.Option_id
+module Property = Vv_ballot.Property
 
 type profile = Campaign.profile = Smoke | Full
 
 let profile_label = Campaign.profile_label
-
-type cls = Exact | Stall | Violation
-
-let cls_label = function
-  | Exact -> "exact"
-  | Stall -> "stall"
-  | Violation -> "violation"
 
 type scenario = { width : int; heal : int }
 
@@ -65,7 +61,7 @@ type cell = {
   retrans_avg : float;
 }
 
-let cell_class c =
+let cell_class c : Property.verdict =
   if c.violations > 0 then Violation
   else if c.stalls > 0 then Stall
   else Exact
@@ -138,10 +134,12 @@ let network_of ~drop ~scenario ~seed =
     ~jitter:(if drop > 0.0 then 1 else 0)
     ~partitions ~seed ()
 
-let classify (o : Runner.outcome) =
-  if not (o.Runner.safety_admissible && o.Runner.agreement) then Violation
-  else if not o.Runner.termination then Stall
-  else Exact
+(* Every variant is judged by voting validity, which on this electorate
+   (strict plurality A) is Definition V.1's safety-guaranteed
+   admissibility. *)
+let judge ~honest_inputs ~outputs =
+  Property.judge Property.voting ~tie:Vv_ballot.Tie_break.default ~t_tol
+    ~honest_inputs ~outputs
 
 (* --- the network-agnostic variant ------------------------------------ *)
 
@@ -179,26 +177,12 @@ let na_adversary =
             (msgs_for view.Adversary.round))
         view.Adversary.byzantine)
 
-(* Safety for the network-agnostic run: every decided honest value is
-   the true plurality (0) and all decided values agree; undecided honest
-   nodes are a stall, never a violation. *)
-let na_classify ~honest outputs =
-  let decided = List.filter_map (fun id -> outputs.(id)) honest in
-  let wrong = List.exists (fun v -> v <> 0) decided in
-  let disagree =
-    match decided with [] -> false | v :: rest -> List.exists (( <> ) v) rest
-  in
-  if wrong || disagree then Violation
-  else if List.length decided < List.length honest then Stall
-  else Exact
-
 let na_trial ~retransmit ~network ~seed =
   let module P = Na_voting.Make (struct
     let t_s = t_tol
     let t_a = t_tol
     let sync_delta = na_delta
   end) in
-  let module E = Vv_sim.Engine.Make (P) in
   let n = 12 + f_actual in
   let byz = List.init f_actual (fun i -> n - f_actual + i) in
   let cfg =
@@ -206,11 +190,14 @@ let na_trial ~retransmit ~network ~seed =
       ~delay:(Vv_sim.Delay.Uniform { lo = 1; hi = 2 })
       ~network ?retransmit ~max_rounds ~seed ~n ~t_max:t_tol byz ()
   in
-  let res = E.run_exn cfg ~inputs:na_input ~adversary:na_adversary () in
-  ( na_classify ~honest:(Config.honest_ids cfg) res.E.outputs,
-    res.E.rounds_used,
-    res.E.trace.Trace.dropped_msgs,
-    res.E.trace.Trace.retrans_msgs )
+  let outputs, trace =
+    Engine.exec (module P) cfg ~inputs:na_input ~adversary:na_adversary ()
+  in
+  let honest_inputs =
+    List.map (fun id -> Oid.of_int (na_input id)) (Config.honest_ids cfg)
+  in
+  (judge ~honest_inputs ~outputs:(List.map (Option.map Oid.of_int) outputs),
+   Some trace)
 
 let grid profile =
   List.concat_map
@@ -233,7 +220,7 @@ let cell_stats ~trials ~retransmit ~seed ~index (variant, drop, scenario) =
   for k = 0 to trials - 1 do
     let run_seed = Executor.derive_seed ~seed ((index * trials) + k) in
     let network = network_of ~drop ~scenario ~seed:run_seed in
-    let cls, r, d, rt =
+    let verdict, trace =
       match variant with
       | Na -> na_trial ~retransmit:retransmit_policy ~network ~seed:run_seed
       | Std protocol -> (
@@ -245,22 +232,24 @@ let cell_stats ~trials ~retransmit ~seed ~index (variant, drop, scenario) =
           in
           match Runner.run_checked spec with
           | Ok o ->
-              ( classify o,
-                o.Runner.rounds,
-                o.Runner.trace.Vv_sim.Trace.dropped_msgs,
-                o.Runner.trace.Vv_sim.Trace.retrans_msgs )
+              ( judge ~honest_inputs:o.Runner.honest_inputs
+                  ~outputs:o.Runner.outputs,
+                Some o.Runner.trace )
           | Error (`Invalid_adversary _) ->
               (* An adversary invalidated by the fault plan is a harness
                  bug, not a protocol property — surface it loudly. *)
-              (Violation, 0, 0, 0))
+              (Property.Violation, None))
     in
-    (match cls with
+    (match verdict with
     | Exact -> incr exact
     | Stall -> incr stalls
     | Violation -> incr violations);
-    rounds := !rounds + r;
-    dropped := !dropped + d;
-    retrans := !retrans + rt
+    match trace with
+    | None -> ()
+    | Some tr ->
+        rounds := !rounds + tr.Trace.total_rounds;
+        dropped := !dropped + tr.Trace.dropped_msgs;
+        retrans := !retrans + tr.Trace.retrans_msgs
   done;
   let avg x = float_of_int x /. float_of_int trials in
   {
@@ -333,7 +322,7 @@ let grid_table r =
           variant_label c.variant;
           Table.fcell ~decimals:2 c.drop;
           scenario_label c.scenario;
-          cls_label (cell_class c);
+          Property.verdict_label (cell_class c);
           Table.icell c.exact;
           Table.icell c.stalls;
           Table.icell c.violations;

@@ -19,10 +19,6 @@ type profile = Vv_exec.Campaign.profile = Smoke | Full
 (** Re-export of {!Vv_exec.Campaign.profile}. [Smoke] is the CI tier (3 drop rates x 3 partition scenarios x 6
     variants x 3 trials); [Full] widens every axis. *)
 
-type cls = Exact | Stall | Violation
-
-val cls_label : cls -> string
-
 type scenario = {
   width : int;  (** honest nodes isolated by the transient partition *)
   heal : int;  (** rounds until the partition heals (recovery lag) *)
@@ -50,9 +46,8 @@ type cell = {
   retrans_avg : float;  (** retransmission attempts fired *)
 }
 
-val cell_class : cell -> cls
-(** Worst classification over the cell's trials:
-    Violation > Stall > Exact. *)
+val cell_class : cell -> Vv_ballot.Property.verdict
+(** Worst verdict over the cell's trials: Violation > Stall > Exact. *)
 
 type result = {
   profile : profile;

@@ -31,7 +31,7 @@ let run_row protocol strategy ~tol ~f honest =
     Table.bcell r.Runner.termination;
     Table.bcell r.Runner.agreement;
     Table.bcell r.Runner.voting_validity;
-    Table.bcell r.Runner.safety_admissible;
+    Table.bcell r.Runner.voting_validity_tb;
     describe_outputs r.Runner.outputs;
   ]
 

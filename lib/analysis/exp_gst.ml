@@ -28,13 +28,14 @@
    Byzantine count); beyond, the round-0 Fin forgery beats the honest
    paths to the decision.
 
-   Classification per run mirrors E17: Violation (an honest node decided
-   something other than the honest plurality, or honest nodes disagree),
-   Stall (some honest node never decides — admissible outside the
-   bound), Exact.  [ok] is the acceptance criterion: a predicted-
-   achievable cell must be Exact on every trial, and violations may only
-   appear outside the bound.  Byte-identical at every [--jobs] via
-   per-index derived seeds, like E16–E19. *)
+   Each run is judged ([Property.judge]) against the campaign's own rule,
+   "decides A": Violation (an honest node decided something other than
+   option 0, or honest nodes disagree), Stall (some honest node never
+   decides — admissible outside the bound), Exact.  [ok] is the
+   acceptance criterion: a predicted-achievable cell must be Exact on
+   every trial, and violations may only appear outside the bound.
+   Byte-identical at every [--jobs] via per-index derived seeds, like
+   E16–E19. *)
 
 module Table = Vv_prelude.Table
 module Executor = Vv_exec.Executor
@@ -43,17 +44,13 @@ module Delay = Vv_sim.Delay
 module Config = Vv_sim.Config
 module Adversary = Vv_sim.Adversary
 module Na_voting = Vv_bb.Na_voting
+module Engine = Vv_sim.Engine
+module Oid = Vv_ballot.Option_id
+module Property = Vv_ballot.Property
 
 type profile = Campaign.profile = Smoke | Full
 
 let profile_label = Campaign.profile_label
-
-type cls = Exact | Stall | Violation
-
-let cls_label = function
-  | Exact -> "exact"
-  | Stall -> "stall"
-  | Violation -> "violation"
 
 type sched = Sync | Gst of int | Gst_adv of int | Async
 
@@ -166,7 +163,7 @@ type stats = {
   rounds_avg : float;
 }
 
-let cell_class s =
+let cell_class s : Property.verdict =
   if s.violations > 0 then Violation
   else if s.stalls > 0 then Stall
   else Exact
@@ -237,15 +234,25 @@ let adversary ~delta =
             (msgs_for view.Adversary.round))
         view.Adversary.byzantine)
 
-let classify ~honest outputs =
-  let decided = List.filter_map (fun id -> outputs.(id)) honest in
-  let wrong = List.exists (fun v -> v <> 0) decided in
-  let disagree =
-    match decided with [] -> false | v :: rest -> List.exists (( <> ) v) rest
-  in
-  if wrong || disagree then Violation
-  else if List.length decided < List.length honest then Stall
-  else Exact
+(* The campaign's rule is "decides A": every decided honest value is
+   option 0, the plurality the electorates are built around.  That is not
+   voting validity — on a tied margin probe (A_G = B_G) it still demands
+   option 0 — so it is stated as its own property and judged like any
+   other. *)
+let option_a = Oid.of_int 0
+
+let decides_a =
+  {
+    Property.id = "decides-a";
+    description = "every decided output is option 0 (A)";
+    admissible =
+      (fun ~tie:_ ~t_tol:_ ~honest_inputs:_ ~outputs ->
+        List.for_all
+          (function None -> true | Some v -> Oid.equal v option_a)
+          outputs);
+    required_output = Some (fun ~tie:_ ~honest_inputs:_ -> Some option_a);
+    stronger_than = [];
+  }
 
 let run_trial c ~seed =
   let n = cell_n c in
@@ -255,16 +262,21 @@ let run_trial c ~seed =
     let t_a = c.t_a
     let sync_delta = delta
   end) in
-  let module E = Vv_sim.Engine.Make (P) in
   let byz = List.init c.f (fun i -> n - c.f + i) in
   let cfg =
     Config.with_byzantine ~delay:(delay_of c.sched) ~max_rounds ~seed ~n
       ~t_max:c.t_s byz ()
   in
-  let res =
-    E.run_exn cfg ~inputs:(input_of c) ~adversary:(adversary ~delta) ()
+  let outputs, trace =
+    Engine.exec (module P) cfg ~inputs:(input_of c) ~adversary:(adversary ~delta)
+      ()
   in
-  (classify ~honest:(Config.honest_ids cfg) res.E.outputs, res.E.rounds_used)
+  let honest_inputs =
+    List.map (fun id -> Oid.of_int (input_of c id)) (Config.honest_ids cfg)
+  in
+  ( Property.judge decides_a ~tie:Vv_ballot.Tie_break.default ~t_tol:c.t_s
+      ~honest_inputs ~outputs:(List.map (Option.map Oid.of_int) outputs),
+    trace.Vv_sim.Trace.total_rounds )
 
 (* One grid cell's statistics; every trial seed is a pure function of
    (campaign seed, cell index, trial index), so the campaign replays
@@ -274,8 +286,8 @@ let cell_stats ~trials ~seed ~index cell =
   let rounds = ref 0 in
   for k = 0 to trials - 1 do
     let run_seed = Executor.derive_seed ~seed ((index * trials) + k) in
-    let cls, r = run_trial cell ~seed:run_seed in
-    (match cls with
+    let verdict, r = run_trial cell ~seed:run_seed in
+    (match verdict with
     | Exact -> incr exact
     | Stall -> incr stalls
     | Violation -> incr violations);
@@ -345,7 +357,7 @@ let grid_table r =
           Table.icell (cell_n c);
           Table.icell (t_mode ~t_s:c.t_s ~t_a:c.t_a c.sched);
           (if predicted c then "achievable" else "outside");
-          cls_label (cell_class s);
+          Property.verdict_label (cell_class s);
           Table.icell s.exact;
           Table.icell s.stalls;
           Table.icell s.violations;
@@ -390,9 +402,9 @@ let region_table r =
               Table.icell t_a;
               sched_label sched;
               Table.icell (t_mode ~t_s ~t_a sched);
-              cls_label (cell_class w);
-              cls_label (cell_class o);
-              cls_label (cell_class m);
+              Property.verdict_label (cell_class w);
+              Property.verdict_label (cell_class o);
+              Property.verdict_label (cell_class m);
               (if matched then "yes" else "NO");
             ])
         (scheds r.profile))

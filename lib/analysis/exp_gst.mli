@@ -16,10 +16,6 @@
 
 type profile = Vv_exec.Campaign.profile = Smoke | Full
 
-type cls = Exact | Stall | Violation
-
-val cls_label : cls -> string
-
 type sched =
   | Sync
   | Gst of int  (** GST round, uniform admissible scheduler *)
@@ -64,9 +60,8 @@ type stats = {
   rounds_avg : float;
 }
 
-val cell_class : stats -> cls
-(** Worst classification over the cell's trials:
-    Violation > Stall > Exact. *)
+val cell_class : stats -> Vv_ballot.Property.verdict
+(** Worst verdict over the cell's trials: Violation > Stall > Exact. *)
 
 type result = {
   profile : profile;

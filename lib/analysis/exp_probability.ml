@@ -85,11 +85,10 @@ let e13b_row ~t ~m n =
                   { A.src; dst; msg = Vv_baselines.Exchange_ba.Raw alien }))
             view.A.byzantine)
   in
-  let module E = Baseline_runner.Strong_E in
-  let res =
-    E.run_exn cfg ~inputs:(fun id -> arr.(min id (ng - 1))) ~adversary ()
+  let outputs, _ =
+    Vv_sim.Engine.exec (module Vv_baselines.Strong_consensus) cfg
+      ~inputs:(fun id -> arr.(min id (ng - 1))) ~adversary ()
   in
-  let outputs = E.honest_outputs res in
   let strong_ok =
     List.for_all (function None -> true | Some v -> List.mem v honest) outputs
   in

@@ -33,10 +33,10 @@ module Runner = Vv_core.Runner
 module Strategy = Vv_core.Strategy
 module Oid = Vv_ballot.Option_id
 module Property = Vv_ballot.Property
-module Validity = Vv_ballot.Validity
 module Executor = Vv_exec.Executor
 module Campaign = Vv_exec.Campaign
 module Config = Vv_sim.Config
+module Engine = Vv_sim.Engine
 module Oracle = Vv_check.Oracle
 
 type impl =
@@ -128,40 +128,25 @@ let run_impl impl c ~seed =
       let cfg = Config.with_byzantine ~seed ~n ~t_max:c.t byz () in
       let input_arr = Array.of_list honest in
       let as_int id = Oid.to_int input_arr.(min id (ng - 1)) in
-      let to_opts (s : Baseline_runner.summary) =
-        List.map
-          (Option.map (fun v -> Oid.of_int (max 0 v)))
-          s.Baseline_runner.outputs
-      in
-      let s =
+      let adversary = Baseline_runner.raw_collude () in
+      let outputs, _ =
         match impl with
         | Strong_ba ->
-            Baseline_runner.run_strong cfg ~inputs:as_int ~collude:true
+            Engine.exec (module Vv_baselines.Strong_consensus) cfg
+              ~inputs:as_int ~adversary ()
         | Median_ba ->
-            Baseline_runner.run_median cfg ~inputs:as_int ~collude:true
+            Engine.exec (module Vv_baselines.Median_validity) cfg
+              ~inputs:as_int ~adversary ()
         | Interval_ba | Voting _ ->
-            Baseline_runner.run_interval cfg
+            Engine.exec (module Vv_baselines.Interval_validity) cfg
               ~inputs:(fun id ->
                 {
                   Vv_baselines.Interval_validity.value = as_int id;
                   k = (ng + 1) / 2;
                 })
-              ~collude:true
+              ~adversary ()
       in
-      (honest, to_opts s)
-
-type cls = Exact | Stall | Violation
-
-(* Safety (agreement + the property over decided outputs) is judged even
-   on partial runs; a safe non-terminating run is a stall. *)
-let classify_against property ~t_tol ~honest ~outputs =
-  let admissible =
-    Property.admissible property ~tie:Vv_ballot.Tie_break.default ~t_tol
-      ~honest_inputs:honest ~outputs
-  in
-  if (not (Validity.agreement ~outputs)) || not admissible then Violation
-  else if not (Validity.termination ~outputs) then Stall
-  else Exact
+      (honest, List.map (Option.map (fun v -> Oid.of_int (max 0 v))) outputs)
 
 (* --- per-cell statistics --------------------------------------------- *)
 
@@ -186,11 +171,12 @@ let cell_stats ~trials ~seed ~index (impl, config) =
         let c = acc.(pi) in
         acc.(pi) <-
           (match
-             classify_against property ~t_tol:config.t ~honest ~outputs
+             Property.judge property ~tie:Vv_ballot.Tie_break.default
+               ~t_tol:config.t ~honest_inputs:honest ~outputs
            with
-          | Exact -> { c with exact = c.exact + 1 }
-          | Stall -> { c with stalls = c.stalls + 1 }
-          | Violation -> { c with violations = c.violations + 1 }))
+          | Property.Exact -> { c with exact = c.exact + 1 }
+          | Property.Stall -> { c with stalls = c.stalls + 1 }
+          | Property.Violation -> { c with violations = c.violations + 1 }))
       Property.all
   done;
   {

@@ -136,6 +136,6 @@ let theorem10_demo ~t =
   let strict = run Vv_core.Variant.Delta_t in
   {
     lax_violates = not lax.Vv_core.Runner.voting_validity_tb;
-    strict_safe = strict.Vv_core.Runner.safety_admissible
+    strict_safe = strict.Vv_core.Runner.voting_validity_tb
                   && not strict.Vv_core.Runner.termination;
   }

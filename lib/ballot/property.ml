@@ -49,6 +49,23 @@ let id p = p.id
 
 let admissible p = p.admissible
 
+type verdict = Exact | Stall | Violation
+
+let verdict_label = function
+  | Exact -> "exact"
+  | Stall -> "stall"
+  | Violation -> "violation"
+
+(* Safety (agreement + the property over the decided outputs) is judged
+   even on partial runs; a safe run that did not terminate is a stall. *)
+let judge p ~tie ~t_tol ~honest_inputs ~outputs =
+  if
+    (not (Validity.agreement ~outputs))
+    || not (p.admissible ~tie ~t_tol ~honest_inputs ~outputs)
+  then Violation
+  else if not (Validity.termination ~outputs) then Stall
+  else Exact
+
 let pp ppf p = Fmt.string ppf p.id
 
 let decided_all_satisfy pred outputs =

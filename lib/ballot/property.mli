@@ -43,6 +43,27 @@ val admissible :
   outputs:Option_id.t option list ->
   bool
 
+type verdict =
+  | Exact  (** terminated, agreed, and admissible *)
+  | Stall  (** safe (agreed and admissible so far) but some node undecided *)
+  | Violation  (** decided outputs disagree or are inadmissible *)
+(** One run judged against one property — the classification every
+    campaign reports. *)
+
+val verdict_label : verdict -> string
+(** ["exact"], ["stall"] or ["violation"]. *)
+
+val judge :
+  t ->
+  tie:Tie_break.t ->
+  t_tol:int ->
+  honest_inputs:Option_id.t list ->
+  outputs:Option_id.t option list ->
+  verdict
+(** [Violation] when the decided outputs disagree or are not admissible —
+    even if some node has not decided; otherwise [Stall] when some node
+    is undecided; otherwise [Exact]. *)
+
 val pp : t Fmt.t
 (** Prints the id. *)
 

@@ -114,7 +114,7 @@ let classify ?(property = Property.voting) (exec : Space.execution) outcome =
             (* Definition V.1 is the Sct variants' own standing promise,
                phrased over voting validity regardless of the swept
                property. *)
-            if not o.Runner.safety_admissible then
+            if not o.Runner.voting_validity_tb then
               Violation
                 { property = Property.voting.Property.id;
                   detail = "safety-guaranteed admissibility" }

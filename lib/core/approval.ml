@@ -20,11 +20,7 @@ module Tally = Vv_ballot.Tally
 
 type subject = int
 
-type exec = {
-  outputs : Oid.t option list;
-  rounds : int;
-  stalled : bool;
-}
+type exec = { outputs : Oid.t option list; trace : Trace.snapshot }
 
 (* The honest-endorsement analogue of Definition III.3. *)
 let honest_leader ~tie approvals =
@@ -292,9 +288,5 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
       if collude then collude_second ~tie () else Adversary.passive
     in
     let res = E.run_exn cfg ~inputs ~adversary () in
-    {
-      outputs = E.honest_outputs res;
-      rounds = res.E.rounds_used;
-      stalled = res.E.stalled;
-    }
+    { outputs = E.honest_outputs res; trace = res.E.trace }
 end

@@ -14,8 +14,7 @@ type subject = int
 
 type exec = {
   outputs : Oid.t option list;  (** honest nodes, node-id order *)
-  rounds : int;
-  stalled : bool;
+  trace : Vv_sim.Trace.snapshot;  (** round counts and the stall verdict *)
 }
 
 val honest_leader :

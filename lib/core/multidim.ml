@@ -61,5 +61,5 @@ let run ?(protocol = Runner.Algo1) ?(strategy = Strategy.Collude_second)
     voting_validity =
       List.for_all (fun o -> o.Runner.voting_validity) per_coordinate;
     safety_admissible =
-      List.for_all (fun o -> o.Runner.safety_admissible) per_coordinate;
+      List.for_all (fun o -> o.Runner.voting_validity_tb) per_coordinate;
   }

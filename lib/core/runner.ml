@@ -93,9 +93,10 @@ type outcome = {
   termination : bool;
   agreement : bool;
   voting_validity : bool;  (** strict form, Definition III.3 *)
-  voting_validity_tb : bool;  (** tie-break-aware form *)
+  voting_validity_tb : bool;
+      (** tie-break-aware form; also safety-guaranteed admissibility
+          (Definition V.1), which is the same predicate *)
   strong_validity : bool;
-  safety_admissible : bool;  (** Definition V.1 *)
   stalled : bool;
   rounds : int;
   honest_msgs : int;
@@ -132,7 +133,7 @@ let outcome_of (s : spec) cfg (exec : Voting.exec) =
   let honest_inputs =
     List.map (fun id -> List.nth s.inputs id) (Config.honest_ids cfg)
   in
-  let outputs = exec.Voting.outputs in
+  let outputs = exec.Voting.outputs and trace = exec.Voting.trace in
   {
     outputs;
     honest_inputs;
@@ -143,14 +144,12 @@ let outcome_of (s : spec) cfg (exec : Voting.exec) =
     voting_validity_tb =
       Validity.voting_validity_tb ~tie:s.tie ~honest_inputs ~outputs;
     strong_validity = Validity.strong_validity ~honest_inputs ~outputs;
-    safety_admissible =
-      Validity.safety_guaranteed_admissible ~tie:s.tie ~honest_inputs ~outputs;
-    stalled = exec.Voting.stalled;
-    rounds = exec.Voting.rounds;
-    honest_msgs = exec.Voting.honest_msgs;
-    byz_msgs = exec.Voting.byz_msgs;
+    stalled = trace.Trace.stalled;
+    rounds = trace.Trace.total_rounds;
+    honest_msgs = trace.Trace.honest_msgs;
+    byz_msgs = trace.Trace.byz_msgs;
     decision_rounds = exec.Voting.decision_rounds;
-    trace = exec.Voting.trace;
+    trace;
   }
 
 let run_checked (s : spec) =

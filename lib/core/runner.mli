@@ -68,11 +68,12 @@ type outcome = {
   termination : bool;
   agreement : bool;
   voting_validity : bool;  (** strict form, Definition III.3 *)
-  voting_validity_tb : bool;  (** tie-break-aware form *)
+  voting_validity_tb : bool;
+      (** tie-break-aware form; also safety-guaranteed admissibility
+          (Definition V.1), which is the same predicate *)
   strong_validity : bool;
-  safety_admissible : bool;  (** Definition V.1 *)
-  stalled : bool;
-  rounds : int;
+  stalled : bool;  (** the trace's [stalled] *)
+  rounds : int;  (** the trace's [total_rounds] *)
   honest_msgs : int;
   byz_msgs : int;
   decision_rounds : int option list;

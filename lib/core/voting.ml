@@ -30,10 +30,6 @@ type subject = int
 type exec = {
   outputs : Oid.t option list;  (** honest nodes, in node-id order *)
   decision_rounds : int option list;  (** honest nodes, in node-id order *)
-  rounds : int;
-  stalled : bool;
-  honest_msgs : int;
-  byz_msgs : int;
   trace : Trace.snapshot;  (** structured per-round history of the run *)
 }
 
@@ -530,10 +526,6 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
             outputs = List.map (fun id -> res.E.outputs.(id)) honest;
             decision_rounds =
               List.map (fun id -> res.E.decision_round.(id)) honest;
-            rounds = res.E.rounds_used;
-            stalled = res.E.stalled;
-            honest_msgs = res.E.metrics.Metrics.honest_messages;
-            byz_msgs = res.E.metrics.Metrics.byzantine_messages;
             trace = res.E.trace;
           }
 

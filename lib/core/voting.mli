@@ -15,11 +15,9 @@ type subject = int
 type exec = {
   outputs : Oid.t option list;  (** honest nodes, in node-id order *)
   decision_rounds : int option list;  (** honest nodes, in node-id order *)
-  rounds : int;
-  stalled : bool;
-  honest_msgs : int;
-  byz_msgs : int;
-  trace : Vv_sim.Trace.snapshot;  (** structured per-round history *)
+  trace : Vv_sim.Trace.snapshot;
+      (** structured per-round history; also the run's round and message
+          counts and its stall verdict *)
 }
 (** Substrate-independent execution summary. *)
 

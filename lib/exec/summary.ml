@@ -85,7 +85,7 @@ let observe acc (result : (Vv_core.Runner.outcome, [ `Invalid_adversary of strin
         strong_validity_failures =
           (acc.strong_validity_failures + if o.strong_validity then 0 else 1);
         safety_inadmissible =
-          (acc.safety_inadmissible + if o.safety_admissible then 0 else 1);
+          (acc.safety_inadmissible + if o.voting_validity_tb then 0 else 1);
         honest_msgs = acc.honest_msgs + o.honest_msgs;
         byz_msgs = acc.byz_msgs + o.byz_msgs;
         round_hist = bump o.rounds acc.round_hist;

@@ -171,8 +171,8 @@ let run ?(strategy = Originate_second) ?(tie = Vv_ballot.Tie_break.default)
     agreement = Vv_ballot.Validity.agreement ~outputs;
     voting_validity =
       Vv_ballot.Validity.voting_validity ~tie ~honest_inputs ~outputs;
-    stalled = res.E.stalled;
-    rounds = res.E.rounds_used;
-    messages = Metrics.total res.E.metrics;
+    stalled = res.E.trace.Trace.stalled;
+    rounds = res.E.trace.Trace.total_rounds;
+    messages = Trace.messages_total res.E.trace;
     trace = res.E.trace;
   }

@@ -96,16 +96,15 @@ let write_snapshot ?log engine = function
 let load_engine ?batch ?jobs ~snapshot cfg =
   match snapshot with
   | Some path when Sys.file_exists path -> (
-      let ic = open_in_bin path in
-      let len = in_channel_length ic in
-      let body = really_input_string ic len in
-      close_in ic;
-      match Json.of_string (String.trim body) with
-      | Error msg -> Error (Printf.sprintf "%s: not valid JSON: %s" path msg)
-      | Ok j -> (
-          match Engine.of_snapshot ?batch ?jobs cfg j with
-          | Ok engine -> Ok engine
-          | Error msg -> Error (Printf.sprintf "%s: %s" path msg)))
+      match In_channel.with_open_bin path In_channel.input_all with
+      | exception Sys_error msg -> Error msg
+      | body -> (
+          match Json.of_string (String.trim body) with
+          | Error msg -> Error (Printf.sprintf "%s: not valid JSON: %s" path msg)
+          | Ok j -> (
+              match Engine.of_snapshot ?batch ?jobs cfg j with
+              | Ok engine -> Ok engine
+              | Error msg -> Error (Printf.sprintf "%s: %s" path msg))))
   | _ -> Ok (Engine.create ?batch ?jobs cfg)
 
 let serve ?batch ?jobs ?snapshot ?log ?(max_outq = default_max_outq) ?sndbuf

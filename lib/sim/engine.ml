@@ -52,20 +52,21 @@
    round every honest node has decided; a run that exhausts the budget
    with undecided honest nodes is reported as a stall (an admissible
    outcome for safety-guaranteed protocols, Definition V.1).
-   [rounds_used] is the *number* of rounds executed — equal to the trace's
-   [total_rounds], and equal to [max_rounds] exactly on stalled runs —
-   while [decision_round.(i)] is the 0-based *index* of the round node [i]
-   decided in (so a node deciding in the last admissible round has
+   The trace's [total_rounds] is the *number* of rounds executed — equal
+   to [max_rounds] exactly on stalled runs — while [decision_round.(i)] is
+   the 0-based *index* of the round node [i] decided in (so a node
+   deciding in the last admissible round has
    [decision_round = max_rounds - 1]).  Historically the loop ran
-   [max_rounds + 1] rounds and [rounds_used] was the last round index,
-   leaving both off by one against the configured budget; the regression
-   test in test_sim.ml pins the fixed convention.
+   [max_rounds + 1] rounds and the reported count was the last round
+   index, leaving both off by one against the configured budget; the
+   regression test in test_sim.ml pins the fixed convention.
 
    Each run additionally accumulates a structured {!Trace.snapshot}:
    per-round send counts, adversary injections, chaos-substrate activity
    (dropped / duplicated / retransmitted), per-node phase transitions (via
    [P.phase]) and decide rounds.  The snapshot is immutable and is the
-   source of the result's {!Metrics.t}. *)
+   run's only accounting record: message and round counts and the stall
+   verdict are read from it, not restated on the result. *)
 
 exception Invalid_adversary of string
 
@@ -215,10 +216,7 @@ module Make (P : Protocol.S) = struct
     config : Config.t;
     outputs : P.output option array;  (** indexed by node id; Byzantine slots stay [None] *)
     decision_round : int option array;
-    rounds_used : int;
-    metrics : Metrics.t;
     trace : Trace.snapshot;
-    stalled : bool;  (** hit [max_rounds] with undecided honest nodes *)
   }
 
   let honest_outputs res =
@@ -554,12 +552,10 @@ module Make (P : Protocol.S) = struct
         reach = reach_fn;
       }
     in
-    let rounds_used = ref 0 in
     let stalled = ref false in
     let newly_decided = ref [] in
     (try
        for round = 0 to max_rounds - 1 do
-         rounds_used := round + 1;
          dropped := 0;
          duplicated := 0;
          retransmitted := 0;
@@ -680,7 +676,6 @@ module Make (P : Protocol.S) = struct
                Trace.record_round tb ~round:r ~honest_sent:0 ~byz_sent:0
                  ~dropped:0 ~duplicated:0 ~retransmitted:0 ~newly_decided:[]
              done;
-             rounds_used := max_rounds;
              stalled := true;
              raise Exit
            end
@@ -688,15 +683,11 @@ module Make (P : Protocol.S) = struct
        done;
        stalled := !undecided_honest > 0
      with Exit -> ());
-    let trace = Trace.snapshot tb ~stalled:!stalled in
     {
       config = cfg;
       outputs;
       decision_round;
-      rounds_used = !rounds_used;
-      metrics = Metrics.of_trace trace;
-      trace;
-      stalled = !stalled;
+      trace = Trace.snapshot tb ~stalled:!stalled;
     }
 
   let run (cfg : Config.t) ~inputs ?adversary () =
@@ -704,3 +695,15 @@ module Make (P : Protocol.S) = struct
     | res -> Ok res
     | exception Invalid_adversary reason -> Error (`Invalid_adversary reason)
 end
+
+(* The generic entry for protocols run outside a statically applied
+   functor: campaigns and baselines that execute a protocol a handful of
+   times per cell.  Hot paths keep their own [Make] application. *)
+let exec (type i m o)
+    (module P : Protocol.S
+      with type input = i
+       and type msg = m
+       and type output = o) cfg ~inputs ?adversary () =
+  let module E = Make (P) in
+  let res = E.run_exn cfg ~inputs ?adversary () in
+  (E.honest_outputs res, res.E.trace)

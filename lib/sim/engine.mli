@@ -26,15 +26,9 @@ module Make (P : Protocol.S) : sig
         (** indexed by node id; Byzantine slots stay [None] *)
     decision_round : int option array;
         (** 0-based index of the round each node decided in *)
-    rounds_used : int;
-        (** number of rounds executed (round indices 0 .. [rounds_used] - 1);
-            equals the trace's [total_rounds], at most [Config.max_rounds],
-            and exactly [max_rounds] on stalled runs *)
-    metrics : Metrics.t;  (** derived from [trace]; immutable *)
     trace : Trace.snapshot;
-    stalled : bool;
-        (** true when [max_rounds] elapsed with undecided honest nodes — an
-            admissible outcome for safety-guaranteed protocols (Def. V.1) *)
+        (** the run's accounting: message and round counts
+            ([total_rounds]) and the stall verdict ([stalled]) *)
   }
 
   val honest_outputs : result -> P.output option list
@@ -61,3 +55,15 @@ module Make (P : Protocol.S) : sig
   (** Same, but raises {!Invalid_adversary} — the original behaviour, kept
       for interactive callers and tests that assert on the exception. *)
 end
+
+val exec :
+  (module Protocol.S with type input = 'i and type msg = 'm and type output = 'o) ->
+  Config.t ->
+  inputs:(Types.node_id -> 'i) ->
+  ?adversary:'m Adversary.t ->
+  unit ->
+  'o option list * Trace.snapshot
+(** [exec (module P) cfg ~inputs ?adversary ()] runs [P] once, like
+    [Make(P).run_exn], and returns the honest nodes' outputs in node-id
+    order together with the run's trace. The entry for protocols executed
+    outside a statically applied {!Make}. Raises {!Invalid_adversary}. *)

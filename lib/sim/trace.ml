@@ -5,8 +5,9 @@
    substrate — dropped/duplicated/retransmitted deliveries) plus every
    per-node phase transition reported by the protocol's [Protocol.S.phase].
    At the end of the run the accumulated history is frozen into an
-   immutable [snapshot] — the replacement for the old mutable [Metrics.t]
-   aliasing: callers get a value they can store, diff, and emit (CSV/JSON)
+   immutable [snapshot], the one per-run accounting record: message and
+   round counts, the stall verdict and the chaos counters all live here,
+   and callers get a value they can store, diff, and emit (CSV/JSON)
    without worrying about the engine mutating it behind their back.
 
    The [chaos] flag records whether the run had the substrate (or

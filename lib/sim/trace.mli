@@ -4,9 +4,10 @@
     adversary injections, chaos-substrate activity (dropped / duplicated /
     retransmitted deliveries), per-node phase transitions (as reported by
     {!Protocol.S.phase}) and decide rounds — and freezes it into a
-    [snapshot] on completion. Snapshots replace the old mutable
-    {!Metrics.t} accounting as the unit of observability: one value per
-    run, safe to store and aggregate, with CSV and JSON emitters.
+    [snapshot] on completion. The snapshot is the only per-run accounting
+    record (message and round counts, the stall verdict, the chaos
+    counters): one value per run, safe to store and aggregate, with CSV
+    and JSON emitters.
 
     Runs without the chaos substrate ([chaos = false]) emit exactly the
     pre-substrate CSV/JSON shape — the chaos columns appear only when the
@@ -43,7 +44,12 @@ type snapshot = {
   dup_msgs : int;
   retrans_msgs : int;
   total_rounds : int;
+      (** number of rounds executed (indices 0 .. [total_rounds] - 1): at
+          most [Config.max_rounds], and exactly [max_rounds] on stalled
+          runs *)
   stalled : bool;
+      (** [max_rounds] elapsed with undecided honest nodes — an admissible
+          outcome for safety-guaranteed protocols (Def. V.1) *)
   chaos : bool;  (** substrate or retransmission engaged for this run *)
 }
 

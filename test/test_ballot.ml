@@ -481,6 +481,50 @@ let test_property_hierarchy () =
     (adm Property.voting);
   check_bool "but not median-admissible" false (adm Property.median)
 
+(* The one judge every campaign classifies through: safety (agreement and
+   admissibility of the decided outputs) is judged on partial runs too,
+   and only a safe run can be a stall. *)
+let test_judge_table () =
+  let verdict =
+    Alcotest.testable (Fmt.of_to_string Property.verdict_label) ( = )
+  in
+  let honest_inputs = List.map o [ 0; 0; 0; 1; 2 ] in
+  let judge outputs =
+    Property.judge Property.voting ~tie:Tie_break.default ~t_tol:1
+      ~honest_inputs ~outputs
+  in
+  check verdict "partial outputs that disagree" Property.Violation
+    (judge [ Some (o 0); None; Some (o 1) ]);
+  check verdict "partial, admissible and agreeing" Property.Stall
+    (judge [ Some (o 0); None; Some (o 0) ]);
+  check verdict "complete, admissible and agreeing" Property.Exact
+    (judge [ Some (o 0); Some (o 0); Some (o 0) ]);
+  check verdict "partial outputs that are inadmissible" Property.Violation
+    (judge [ Some (o 1); None; Some (o 1) ]);
+  check verdict "nobody decided" Property.Stall (judge [ None; None ]);
+  check
+    Alcotest.(list string)
+    "labels"
+    [ "exact"; "stall"; "violation" ]
+    (List.map Property.verdict_label
+       [ Property.Exact; Property.Stall; Property.Violation ])
+
+(* The judge is exactly the three predicates it combines, for every
+   built-in property. *)
+let prop_judge_characterised =
+  QCheck.Test.make ~name:"judge = termination, agreement, admissibility"
+    gen_property_case (fun case ->
+      let tie, t_tol, honest_inputs, outputs = scene_of case in
+      let term = Validity.termination ~outputs
+      and agree = Validity.agreement ~outputs in
+      List.for_all
+        (fun p ->
+          let adm = Property.admissible p ~tie ~t_tol ~honest_inputs ~outputs in
+          let v = Property.judge p ~tie ~t_tol ~honest_inputs ~outputs in
+          (v = Property.Exact) = (term && agree && adm)
+          && (v = Property.Violation) = not (agree && adm))
+        Property.all)
+
 let test_property_registry () =
   check_int "six properties" 6 (List.length Property.all);
   check
@@ -515,6 +559,7 @@ let qcheck_cases =
       prop_property_voting_matches_legacy;
       prop_hierarchy_sound;
       prop_required_output_admissible;
+      prop_judge_characterised;
     ]
 
 let () =
@@ -556,6 +601,7 @@ let () =
           Alcotest.test_case "hierarchy shape" `Quick test_property_hierarchy;
           Alcotest.test_case "registry round-trip" `Quick
             test_property_registry;
+          Alcotest.test_case "judge verdict table" `Quick test_judge_table;
         ] );
       ("properties", qcheck_cases);
     ]

@@ -12,6 +12,12 @@ let check_bool = check Alcotest.bool
 
 let cfg ?(seed = 0x8a5e) ~n ~t byz = Config.with_byzantine ~seed ~n ~t_max:t byz ()
 
+(* One baseline run through the generic engine entry: the honest outputs
+   in node-id order. *)
+let exec p c ~inputs ?adversary () = fst (Engine.exec p c ~inputs ?adversary ())
+
+let collude = BR.raw_collude
+
 let all_equal = function
   | [] -> true
   | x :: rest -> List.for_all (( = ) x) rest
@@ -21,8 +27,8 @@ let all_equal = function
 let test_median_no_faults () =
   (* 9 honest nodes with values 100..108: the exact median is 104. *)
   let c = cfg ~n:9 ~t:2 [] in
-  let s = BR.run_median c ~inputs:(fun id -> 100 + id) ~collude:false in
-  let outs = List.filter_map Fun.id s.BR.outputs in
+  let outs = exec (module B.Median_validity) c ~inputs:(fun id -> 100 + id) () in
+  let outs = List.filter_map Fun.id outs in
   check_int "all decide" 9 (List.length outs);
   check_bool "agreement" true (all_equal outs);
   check_int "exact median without faults" 104 (List.hd outs)
@@ -32,8 +38,11 @@ let test_median_with_collusion_close_not_exact () =
      within t positions of the honest median (the [5] guarantee shape) but
      may miss it. *)
   let c = cfg ~n:11 ~t:2 [ 9; 10 ] in
-  let s = BR.run_median c ~inputs:(fun id -> 100 + min id 8) ~collude:true in
-  let outs = List.filter_map Fun.id s.BR.outputs in
+  let outs =
+    exec (module B.Median_validity) c ~inputs:(fun id -> 100 + min id 8)
+      ~adversary:(collude ()) ()
+  in
+  let outs = List.filter_map Fun.id outs in
   check_bool "agreement" true (all_equal outs);
   let out = List.hd outs in
   (* honest values 100..108, median 104, t = 2 positions: [102, 106]. *)
@@ -53,9 +62,11 @@ let test_median_outlier_immunity () =
                   { A.src; dst; msg = B.Exchange_ba.Raw 1_000_000 }))
             view.A.byzantine)
   in
-  let module E = BR.Median_E in
-  let res = E.run_exn c ~inputs:(fun id -> 100 + min id 8) ~adversary:outlier () in
-  let outs = List.filter_map Fun.id (E.honest_outputs res) in
+  let outs =
+    exec (module B.Median_validity) c ~inputs:(fun id -> 100 + min id 8)
+      ~adversary:outlier ()
+  in
+  let outs = List.filter_map Fun.id outs in
   check_bool "agreement" true (all_equal outs);
   check_bool "outliers trimmed" true (List.hd outs >= 100 && List.hd outs <= 108)
 
@@ -63,24 +74,24 @@ let test_median_outlier_immunity () =
 
 let test_interval_kth () =
   let c = cfg ~n:9 ~t:1 [] in
-  let s =
-    BR.run_interval c
+  let outs =
+    exec (module B.Interval_validity) c
       ~inputs:(fun id -> { B.Interval_validity.value = 10 * (id + 1); k = 2 })
-      ~collude:false
+      ()
   in
-  let outs = List.filter_map Fun.id s.BR.outputs in
+  let outs = List.filter_map Fun.id outs in
   check_bool "agreement" true (all_equal outs);
   (* Values 10..90, t=1 trims to 20..80; k=2 -> 30. *)
   check_int "k-th smallest of trimmed" 30 (List.hd outs)
 
 let test_interval_collusion_stays_in_interval () =
   let c = cfg ~n:11 ~t:2 [ 9; 10 ] in
-  let s =
-    BR.run_interval c
+  let outs =
+    exec (module B.Interval_validity) c
       ~inputs:(fun id -> { B.Interval_validity.value = 100 + min id 8; k = 5 })
-      ~collude:true
+      ~adversary:(collude ()) ()
   in
-  let outs = List.filter_map Fun.id s.BR.outputs in
+  let outs = List.filter_map Fun.id outs in
   check_bool "agreement" true (all_equal outs);
   check_bool "inside honest range" true
     (List.hd outs >= 100 && List.hd outs <= 108)
@@ -90,10 +101,12 @@ let test_interval_collusion_stays_in_interval () =
 let test_strong_decisive () =
   let c = cfg ~n:9 ~t:2 [ 7; 8 ] in
   (* 7 honest: six vote 3, one votes 5 — decisive. *)
-  let s =
-    BR.run_strong c ~inputs:(fun id -> if id = 6 then 5 else 3) ~collude:true
+  let outs =
+    exec (module B.Strong_consensus) c
+      ~inputs:(fun id -> if id = 6 then 5 else 3)
+      ~adversary:(collude ()) ()
   in
-  let outs = List.filter_map Fun.id s.BR.outputs in
+  let outs = List.filter_map Fun.id outs in
   check_bool "agreement" true (all_equal outs);
   check_int "plurality survives" 3 (List.hd outs)
 
@@ -102,22 +115,25 @@ let test_strong_flipped_by_collusion () =
      Strong validity still holds (5 is an honest input) but the output is
      NOT the honest plurality — the exactness gap Algorithm 1 closes. *)
   let c = cfg ~n:9 ~t:2 [ 7; 8 ] in
-  let s =
-    BR.run_strong c ~inputs:(fun id -> if id < 4 then 3 else 5) ~collude:true
+  let outs =
+    exec (module B.Strong_consensus) c
+      ~inputs:(fun id -> if id < 4 then 3 else 5)
+      ~adversary:(collude ()) ()
   in
-  let outs = List.filter_map Fun.id s.BR.outputs in
+  let outs = List.filter_map Fun.id outs in
   check_bool "agreement" true (all_equal outs);
   check_int "honest plurality lost" 5 (List.hd outs)
 
 (* --- k-set consensus --- *)
 
 let test_kset_no_faults_single_value () =
-  let module E = BR.Kset_E in
   let c = Config.make ~n:6 ~t_max:2 () in
-  let s = BR.run_kset c ~inputs:(fun id -> { B.Kset.value = 10 + id; k = 2 }) in
-  let outs = List.filter_map Fun.id s.BR.outputs in
+  let all =
+    exec (module B.Kset) c ~inputs:(fun id -> { B.Kset.value = 10 + id; k = 2 }) ()
+  in
+  let outs = List.filter_map Fun.id all in
   check_int "all decide" 6 (List.length outs);
-  check_int "one value without faults" 1 (B.Kset.distinct_outputs s.BR.outputs);
+  check_int "one value without faults" 1 (B.Kset.distinct_outputs all);
   check_int "min wins" 10 (List.hd outs)
 
 let test_kset_bounded_disagreement_under_crashes () =
@@ -130,24 +146,26 @@ let test_kset_bounded_disagreement_under_crashes () =
     |]
   in
   let c = Config.make ~n:6 ~t_max:2 ~faults () in
-  let s = BR.run_kset c ~inputs:(fun id -> { B.Kset.value = 10 + id; k = 2 }) in
-  let distinct = B.Kset.distinct_outputs s.BR.outputs in
+  let all =
+    exec (module B.Kset) c ~inputs:(fun id -> { B.Kset.value = 10 + id; k = 2 }) ()
+  in
+  let distinct = B.Kset.distinct_outputs all in
   check_bool "at most k distinct outputs" true (distinct >= 1 && distinct <= 2);
   List.iter
     (fun o ->
       match o with
       | Some v -> check_bool "output is someone's input" true (v >= 10 && v <= 15)
       | None -> Alcotest.fail "kset must terminate")
-    s.BR.outputs
+    all
 
 (* --- approximate agreement --- *)
 
 let test_approx_converges () =
   let c = cfg ~n:9 ~t:2 [ 7; 8 ] in
-  let outs, _, _ =
-    BR.run_approx c
+  let outs =
+    exec (module B.Approx) c
       ~inputs:(fun id -> { B.Approx.value = float_of_int (10 * id); rounds = 10 })
-      ~outlier:(Some 1e9)
+      ~adversary:(BR.approx_outlier ~value:1e9) ()
   in
   let spread = B.Approx.spread outs in
   check_bool "tight spread despite outliers" true (spread < 1.0);
@@ -163,9 +181,9 @@ let test_approx_validation () =
     (fun () ->
       let c = Config.make ~n:3 ~t_max:0 () in
       ignore
-        (BR.run_approx c
+        (exec (module B.Approx) c
            ~inputs:(fun _ -> { B.Approx.value = 1.0; rounds = 0 })
-           ~outlier:None))
+           ()))
 
 (* --- properties --- *)
 
@@ -181,10 +199,12 @@ let prop_median_agreement =
       let t = 1 in
       let c = cfg ~n:(ng + t) ~t [ ng ] in
       let arr = Array.of_list values in
-      let s =
-        BR.run_median c ~inputs:(fun id -> arr.(min id (ng - 1))) ~collude:true
+      let outs =
+        exec (module B.Median_validity) c
+          ~inputs:(fun id -> arr.(min id (ng - 1)))
+          ~adversary:(collude ()) ()
       in
-      all_equal (List.filter_map Fun.id s.BR.outputs))
+      all_equal (List.filter_map Fun.id outs))
 
 let prop_strong_output_is_some_input =
   QCheck.Test.make ~count:40
@@ -193,10 +213,12 @@ let prop_strong_output_is_some_input =
       let t = 1 in
       let c = cfg ~n:(ng + t) ~t [ ng ] in
       let arr = Array.of_list values in
-      let s =
-        BR.run_strong c ~inputs:(fun id -> arr.(min id (ng - 1))) ~collude:true
+      let outs =
+        exec (module B.Strong_consensus) c
+          ~inputs:(fun id -> arr.(min id (ng - 1)))
+          ~adversary:(collude ()) ()
       in
-      match List.filter_map Fun.id s.BR.outputs with
+      match List.filter_map Fun.id outs with
       | [] -> true
       | out :: _ -> List.mem out values)
 

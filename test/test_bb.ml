@@ -30,13 +30,13 @@ let run_bb (choice : Vv_bb.Bb.choice) ~n ~t ~byz ~sender ~value () =
   match choice with
   | Vv_bb.Bb.Dolev_strong ->
       let res, outs = Run_ds.go ~n ~t ~byz ~sender ~value () in
-      ((res.Run_ds.E.rounds_used, res.Run_ds.E.stalled), outs)
+      (res.Run_ds.E.trace, outs)
   | Vv_bb.Bb.Phase_king ->
       let res, outs = Run_pk.go ~n ~t ~byz ~sender ~value () in
-      ((res.Run_pk.E.rounds_used, res.Run_pk.E.stalled), outs)
+      (res.Run_pk.E.trace, outs)
   | Vv_bb.Bb.Eig ->
       let res, outs = Run_eig.go ~n ~t ~byz ~sender ~value () in
-      ((res.Run_eig.E.rounds_used, res.Run_eig.E.stalled), outs)
+      (res.Run_eig.E.trace, outs)
 
 let all_choices =
   [ ("dolev-strong", Vv_bb.Bb.Dolev_strong); ("phase-king", Vv_bb.Bb.Phase_king); ("eig", Vv_bb.Bb.Eig) ]
@@ -147,16 +147,17 @@ let test_equivocating_sender () =
   in
   assert_agreement "eig equivocation" outs
 
-(* Dolev-Strong must run in exactly t+1 exchange rounds.  [rounds_used]
-   counts executed engine rounds: round 0 (the substrate's start) plus the
-   exchange rounds, so a k-exchange substrate reports k + 1. *)
+(* Dolev-Strong must run in exactly t+1 exchange rounds.  The trace's
+   [total_rounds] counts executed engine rounds: round 0 (the substrate's
+   start) plus the exchange rounds, so a k-exchange substrate reports
+   k + 1. *)
 let test_round_counts () =
-  let (rounds, _), _ = run_bb Vv_bb.Bb.Dolev_strong ~n:5 ~t:2 ~byz:[] ~sender:0 ~value:3 () in
-  check_int "ds rounds" (2 + 1 + 1) rounds;
-  let (rounds, _), _ = run_bb Vv_bb.Bb.Eig ~n:7 ~t:2 ~byz:[] ~sender:0 ~value:3 () in
-  check_int "eig rounds" (2 + 2 + 1) rounds;
-  let (rounds, _), _ = run_bb Vv_bb.Bb.Phase_king ~n:9 ~t:2 ~byz:[] ~sender:0 ~value:3 () in
-  check_int "pk rounds" ((2 * 2) + 3 + 1) rounds
+  let tr, _ = run_bb Vv_bb.Bb.Dolev_strong ~n:5 ~t:2 ~byz:[] ~sender:0 ~value:3 () in
+  check_int "ds rounds" (2 + 1 + 1) tr.Trace.total_rounds;
+  let tr, _ = run_bb Vv_bb.Bb.Eig ~n:7 ~t:2 ~byz:[] ~sender:0 ~value:3 () in
+  check_int "eig rounds" (2 + 2 + 1) tr.Trace.total_rounds;
+  let tr, _ = run_bb Vv_bb.Bb.Phase_king ~n:9 ~t:2 ~byz:[] ~sender:0 ~value:3 () in
+  check_int "pk rounds" ((2 * 2) + 3 + 1) tr.Trace.total_rounds
 
 (* Signature chains: forged or truncated chains must not verify. *)
 let test_auth () =
@@ -241,7 +242,7 @@ let test_delta_batching () =
           check_int
             (Fmt.str "%s delta=%d rounds" label delta)
             ((Sub.rounds ~n:7 ~t:1 * delta) + 1)
-            res.E.rounds_used)
+            res.E.trace.Trace.total_rounds)
         all_choices)
     [ 2; 3 ]
 

@@ -174,7 +174,7 @@ let test_sct_stalls_not_lies_below_bound () =
     Runner.simple ~protocol:Runner.Algo2_sct ~strategy:Strategy.Collude_second
       ~t:3 ~f:3 example_inputs
   in
-  check_bool "safety admissible" true r.Runner.safety_admissible;
+  check_bool "safety admissible" true r.Runner.voting_validity_tb;
   check_bool "did not terminate" false r.Runner.termination;
   check_bool "stalled" true r.Runner.stalled
 
@@ -406,7 +406,7 @@ let property5 =
         Runner.simple ~protocol:Runner.Algo2_sct
           ~strategy:Strategy.Propose_second ~t ~f:t honest
       in
-      r.Runner.safety_admissible && r2.Runner.safety_admissible)
+      r.Runner.voting_validity_tb && r2.Runner.voting_validity_tb)
 
 let incremental_equivalence =
   (* Algorithm 3 decides the same value as Algorithm 1 whenever both
@@ -517,7 +517,7 @@ let sct_incremental_safety =
         Runner.simple ~protocol:Runner.Sct_incremental
           ~strategy:Strategy.Collude_second ~t ~f:t honest
       in
-      r.Runner.safety_admissible)
+      r.Runner.voting_validity_tb)
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest

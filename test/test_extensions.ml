@@ -96,7 +96,7 @@ let test_approval_plain_majority () =
      option: option 0 collects 6 endorsements, others at most 3. *)
   let approvals id = [ o 0; o (1 + (id mod 2)) ] in
   let r = run_approval ~n:7 ~t:1 ~byz:[ 6 ] approvals in
-  check_bool "not stalled" false r.Vv_core.Approval.stalled;
+  check_bool "not stalled" false r.Vv_core.Approval.trace.Vv_sim.Trace.stalled;
   List.iter
     (fun out ->
       check (Alcotest.option opt_testable) "winner 0" (Some (o 0)) out)

@@ -64,7 +64,8 @@ let test_pinned_run () =
       (List.map Vv_ballot.Option_id.of_int [ 0; 0; 0; 0; 0; 1 ])
   in
   (* Every honest node decides in round index 6, so 7 rounds execute
-     (rounds_used counts executed rounds — see engine.ml's convention). *)
+     (the trace's total_rounds counts executed rounds — see engine.ml's
+     convention). *)
   Alcotest.(check int) "rounds" 7 r.Vv_core.Runner.rounds;
   Alcotest.(check int) "honest msgs" 126 r.Vv_core.Runner.honest_msgs;
   Alcotest.(check int) "byz msgs" 7 r.Vv_core.Runner.byz_msgs;

@@ -54,7 +54,7 @@ let minor_words_of_run ~max_rounds =
   let w0 = Gc.minor_words () in
   let res = E.run_exn cfg ~inputs:(fun id -> id) () in
   let w1 = Gc.minor_words () in
-  assert res.E.stalled;
+  assert res.E.trace.Trace.stalled;
   int_of_float (w1 -. w0)
 
 (* The steady-state budget: the marginal allocation of one additional
@@ -93,6 +93,47 @@ let test_run_allocation () =
     true
     (per_round <= 2 * words_per_round_budget)
 
+(* --- one whole checked run --- *)
+
+(* The per-run budget the model checker's workload lives on: one fixed
+   check-style execution (n = 5, t = 1, one scripted Byzantine node,
+   Algorithm 1 over Dolev-Strong) through [Runner.run_checked], measured
+   warm.  It covers everything a run builds besides the rounds — config,
+   engine arrays, trace, outcome record and property checks — so a
+   regression in per-run construction or accounting shows up here even
+   when the per-round budget above is untouched.  Measured at 5,783
+   words (x86-64, OCaml 5.1.1); the budget leaves about 12% of slack. *)
+let words_per_run_budget = 6_500
+
+let checked_spec =
+  let module Runner = Vv_core.Runner in
+  let module Strategy = Vv_core.Strategy in
+  Runner.spec ~byzantine:[ 4 ] ~protocol:Runner.Algo1
+    ~bb:Vv_bb.Bb.Dolev_strong
+    ~strategy:
+      (Strategy.Scripted [ Strategy.Vote_all 1; Strategy.Propose_all 1 ])
+    ~max_rounds:60 ~n:5 ~t:1
+    (List.map Vv_ballot.Option_id.of_int [ 0; 0; 0; 1; 0 ])
+
+let checked_run_words () =
+  let w0 = Gc.minor_words () in
+  let r = Vv_core.Runner.run_checked checked_spec in
+  let w1 = Gc.minor_words () in
+  (match r with
+  | Ok o -> assert o.Vv_core.Runner.termination
+  | Error _ -> assert false);
+  int_of_float (w1 -. w0)
+
+let test_checked_run_allocation () =
+  ignore (checked_run_words ());
+  let per_run = checked_run_words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "checked run: %d words exceeds the %d-word budget" per_run
+       words_per_run_budget)
+    true
+    (per_run <= words_per_run_budget);
+  Alcotest.(check bool) "the run actually executes" true (per_run > 0)
+
 (* --- GST scheduler hot path --- *)
 
 (* The same marginal measurement under the Eventually_synchronous model.
@@ -110,7 +151,7 @@ let minor_words_of_delay_run ~delay ~max_rounds =
   let w0 = Gc.minor_words () in
   let res = E.run_exn cfg ~inputs:(fun id -> id) () in
   let w1 = Gc.minor_words () in
-  assert res.E.stalled;
+  assert res.E.trace.Trace.stalled;
   int_of_float (w1 -. w0)
 
 let marginal_words_per_round ~delay =
@@ -222,6 +263,8 @@ let () =
             test_round_allocation;
           Alcotest.test_case "whole-run words/round" `Quick
             test_run_allocation;
+          Alcotest.test_case "checked run words/run" `Quick
+            test_checked_run_allocation;
           Alcotest.test_case "gst scheduler words/round" `Quick
             test_gst_round_allocation;
           Alcotest.test_case "chaos transit words/verdict" `Quick

@@ -161,6 +161,34 @@ let test_snapshot_restart_catchup () =
     (Engine.decisions restored = expected);
   Sys.remove snapshot
 
+(* A snapshot cut short at any byte — a crash mid-copy, a full disk — is
+   refused with an [Error] by the boot path both daemon kinds share, never
+   an exception out of it. *)
+let test_truncated_snapshot_rejected () =
+  let snapshot = Filename.temp_file "vv-serve" ".snap" in
+  let engine = Engine.create ~batch:4 (cfg ()) in
+  List.iteri
+    (fun i inputs -> ignore (Engine.submit engine ~subject:i inputs))
+    (List.init 4 mixed_inputs);
+  ignore (Engine.flush engine);
+  Server.write_snapshot engine (Some snapshot);
+  let body =
+    String.trim (In_channel.with_open_bin snapshot In_channel.input_all)
+  in
+  let load () = Server.load_engine ~batch:4 ~snapshot:(Some snapshot) (cfg ()) in
+  check_bool "the whole snapshot loads" true (Result.is_ok (load ()));
+  for len = 0 to String.length body - 1 do
+    Out_channel.with_open_bin snapshot (fun oc ->
+        Out_channel.output_string oc (String.sub body 0 len));
+    match load () with
+    | Ok _ -> Alcotest.failf "snapshot truncated to %d bytes was accepted" len
+    | Error _ -> ()
+    | exception e ->
+        Alcotest.failf "snapshot truncated to %d bytes raised %s" len
+          (Printexc.to_string e)
+  done;
+  Sys.remove snapshot
+
 let test_bad_requests_get_errors () =
   let (errors : string list), _ =
     with_server ~batch:2 (fun path ->
@@ -469,6 +497,8 @@ let () =
             test_load_matches_local;
           Alcotest.test_case "snapshot restart and catch-up" `Quick
             test_snapshot_restart_catchup;
+          Alcotest.test_case "truncated snapshot rejected" `Quick
+            test_truncated_snapshot_rejected;
           Alcotest.test_case "bad requests get error responses" `Quick
             test_bad_requests_get_errors;
           Alcotest.test_case "server death surfaces as Error" `Quick

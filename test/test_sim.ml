@@ -57,8 +57,8 @@ let test_full_delivery () =
     (fun seen -> check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
         "every node sees every input (incl. self)" expected seen)
     (values res);
-  check_int "honest messages" 16 res.metrics.Metrics.honest_messages;
-  check_bool "not stalled" false res.stalled
+  check_int "honest messages" 16 res.trace.Trace.honest_msgs;
+  check_bool "not stalled" false res.trace.Trace.stalled
 
 let test_crash_mid_broadcast () =
   (* Node 2 crashes while broadcasting at round 0: only node 0 receives its
@@ -101,7 +101,7 @@ let test_byzantine_equivocation_p2p_allowed () =
   (match values res with
   | seen0 :: _ -> check_bool "per-recipient message" true (List.mem (3, 900) seen0)
   | [] -> Alcotest.fail "no outputs");
-  check_int "byz messages counted" 4 res.metrics.Metrics.byzantine_messages
+  check_int "byz messages counted" 4 res.trace.Trace.byz_msgs
 
 let test_local_broadcast_blocks_equivocation () =
   let cfg =
@@ -213,7 +213,7 @@ let test_determinism () =
   in
   let a = run () and b = run () in
   check_bool "same outputs" true (E.honest_outputs a = E.honest_outputs b);
-  check_int "same rounds" a.rounds_used b.rounds_used
+  check_int "same rounds" a.trace.Trace.total_rounds b.trace.Trace.total_rounds
 
 (* A protocol that never decides must be reported as stalled at
    max_rounds. *)
@@ -236,14 +236,15 @@ let test_stall_reported () =
   let module EM = Engine.Make (Mute) in
   let cfg = Config.make ~n:3 ~t_max:0 ~max_rounds:10 () in
   let res = EM.run_exn cfg ~inputs:(fun _ -> ()) () in
-  check_bool "stalled" true res.EM.stalled;
-  check_int "ran to cutoff" 10 res.EM.rounds_used
+  check_bool "stalled" true res.EM.trace.Trace.stalled;
+  check_int "ran to cutoff" 10 res.EM.trace.Trace.total_rounds
 
 (* Regression for the max_rounds off-by-one: the old loop ran
    [0 .. max_rounds] — max_rounds + 1 rounds — so a stalled run recorded
-   max_rounds + 1 executed rounds in its trace and [rounds_used] disagreed
-   with the trace's [total_rounds].  The fixed convention (engine.ml header)
-   is: at most [max_rounds] rounds execute, and [rounds_used] counts them. *)
+   max_rounds + 1 executed rounds in its trace, and the round count the
+   result reported disagreed with it.  The fixed convention (engine.ml
+   header) is: at most [max_rounds] rounds execute, the trace's
+   [total_rounds] counts them, and a run cut off there is [stalled]. *)
 let test_max_rounds_is_a_round_budget () =
   let module EM = Engine.Make (Mute) in
   let budget = 7 in
@@ -251,8 +252,7 @@ let test_max_rounds_is_a_round_budget () =
   let res = EM.run_exn cfg ~inputs:(fun _ -> ()) () in
   check_int "exactly max_rounds rounds executed" budget
     res.EM.trace.Trace.total_rounds;
-  check_int "rounds_used equals the trace's total_rounds" budget
-    res.EM.rounds_used;
+  check_bool "stalled at the budget" true res.EM.trace.Trace.stalled;
   (* Every recorded round index stays inside 0 .. max_rounds - 1. *)
   List.iter
     (fun (r : Trace.round_record) ->
@@ -298,7 +298,7 @@ let test_topology_broadcast_reaches_neighbours () =
       check_bool "1 hears 2" true (List.mem (2, 102) seen1)
   | _ -> Alcotest.fail "outputs");
   (* 4 nodes x 3 recipients each. *)
-  check_int "message count" 12 res.metrics.Metrics.honest_messages
+  check_int "message count" 12 res.trace.Trace.honest_msgs
 
 let test_topology_validation () =
   Alcotest.check_raises "symmetry"
@@ -331,7 +331,7 @@ let test_topology_local_broadcast_neighbourhood () =
       (fun ~src:_ _ -> Some 9)
   in
   let res = E.run_exn cfg ~inputs:(fun id -> id) ~adversary:to_neighbourhood () in
-  check_int "neighbourhood size messages" 3 res.metrics.Metrics.byzantine_messages
+  check_int "neighbourhood size messages" 3 res.trace.Trace.byz_msgs
 
 let test_config_validation () =
   Alcotest.check_raises "n positive" (Invalid_argument "Config.make: n must be positive")
