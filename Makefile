@@ -6,8 +6,12 @@ check: ## build everything, then run the full test suite
 check-parallel: ## the jobs-invariance + domain-safety suite (spawns up to 4 domains)
 	dune build && dune exec test/test_exec.exe -- test parallel
 
-check-model: ## exhaustive small-model smoke sweep (vv_check); exits 1 on violation
-	dune build && dune exec bin/vvc.exe -- check --profile=smoke
+check-model: ## exhaustive small-model sweeps (vv_check): smoke, then full at --jobs=1 and --jobs=2, which must print byte-identical output; exits 1 on a violation or a mismatch
+	dune build
+	_build/default/bin/vvc.exe check --profile=smoke
+	_build/default/bin/vvc.exe check --profile=full --jobs=1 > _build/check-full-j1.out
+	_build/default/bin/vvc.exe check --profile=full --jobs=2 > _build/check-full-j2.out
+	cmp _build/check-full-j1.out _build/check-full-j2.out
 
 chaos-smoke: ## chaos-substrate resilience campaign, CI tier; exits 1 on a safety violation
 	dune build && dune exec bin/vvc.exe -- chaos --profile=smoke

@@ -24,29 +24,36 @@ let has_strict_plurality ~honest_inputs =
   | [ _ ] -> true
   | (_, ca) :: (_, cb) :: _ -> ca > cb
 
-(* Definition III.3 (strict form): whenever a strict plurality A exists,
-   every produced output must be A.  Outputs are [None] for nodes that have
-   not decided; non-termination does not violate validity (that distinction
-   is what safety-guaranteed protocols exploit, Definition V.1). *)
-let voting_validity ~tie ~honest_inputs ~outputs =
-  if not (has_strict_plurality ~honest_inputs) then true
-  else
-    match honest_plurality ~tie ~honest_inputs with
-    | None -> true
-    | Some a ->
+(* Both forms of Definition III.3 from one tally of the honest inputs:
+   (strict, tie-break-aware).  Outputs are [None] for nodes that have not
+   decided; non-termination does not violate validity (that distinction
+   is what safety-guaranteed protocols exploit, Definition V.1).
+
+   - Strict form: whenever a strict plurality A exists, every produced
+     output must be A.
+   - Tie-break-aware form: the required output is the tie-break winner
+     even when honest counts tie.  Used when all nodes share the
+     established rule.
+
+   Strictness compares the two largest counts, which the tie-break rule
+   only orders, never changes. *)
+let voting_verdicts ~tie ~honest_inputs ~outputs =
+  match Tally.ranked ~tie (honest_tally honest_inputs) with
+  | [] -> (true, true)
+  | (a, ca) :: rest ->
+      let tb =
         List.for_all
           (function None -> true | Some v -> Option_id.equal v a)
           outputs
+      in
+      let strict = match rest with [] -> true | (_, cb) :: _ -> ca > cb in
+      ((not strict) || tb, tb)
 
-(* Tie-break-aware form: the required output is the tie-break winner even
-   when honest counts tie.  Used when all nodes share the established rule. *)
+let voting_validity ~tie ~honest_inputs ~outputs =
+  fst (voting_verdicts ~tie ~honest_inputs ~outputs)
+
 let voting_validity_tb ~tie ~honest_inputs ~outputs =
-  match honest_plurality ~tie ~honest_inputs with
-  | None -> true
-  | Some a ->
-      List.for_all
-        (function None -> true | Some v -> Option_id.equal v a)
-        outputs
+  snd (voting_verdicts ~tie ~honest_inputs ~outputs)
 
 (* Strong validity (Neiger): every decided output is some honest input. *)
 let strong_validity ~honest_inputs ~outputs =

@@ -22,6 +22,14 @@ val honest_gap :
 val has_strict_plurality : honest_inputs:Option_id.t list -> bool
 (** True when one option strictly beats all others among honest inputs. *)
 
+val voting_verdicts :
+  tie:Tie_break.t ->
+  honest_inputs:Option_id.t list ->
+  outputs:Option_id.t option list ->
+  bool * bool
+(** [(voting_validity, voting_validity_tb)] from a single tally of the
+    honest inputs. *)
+
 val voting_validity :
   tie:Tie_break.t ->
   honest_inputs:Option_id.t list ->

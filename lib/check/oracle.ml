@@ -77,9 +77,26 @@ let substrate_ok (cell : Space.cell) =
   (not (Space.uses_substrate cell.protocol))
   || cell.n >= Bb.min_n cell.bb ~t:cell.t
 
+(* The verdict depends on the bound kind, (n, t) and the profile alone,
+   and every script of a cell shares it, so each domain memoizes it:
+   thousands of runs per cell, a handful of distinct keys per sweep. *)
+let bound_memo :
+    (Bounds.kind * int * int * int list, bool) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+
 let bound_holds (cell : Space.cell) =
-  Bounds.satisfied_for (kind_of cell.protocol) ~tie:Vv_ballot.Tie_break.default
-    ~n:cell.n ~t:cell.t (Space.honest_inputs cell)
+  let kind = kind_of cell.protocol in
+  let key = (kind, cell.n, cell.t, cell.profile) in
+  let memo = Domain.DLS.get bound_memo in
+  match Hashtbl.find_opt memo key with
+  | Some holds -> holds
+  | None ->
+      let holds =
+        Bounds.satisfied_for kind ~tie:Vv_ballot.Tie_break.default ~n:cell.n
+          ~t:cell.t (Space.honest_inputs cell)
+      in
+      Hashtbl.add memo key holds;
+      holds
 
 let expected_exact cell = bound_holds cell && substrate_ok cell
 

@@ -131,18 +131,22 @@ let config_of (s : spec) =
 
 let outcome_of (s : spec) cfg (exec : Voting.exec) =
   let honest_inputs =
-    List.map (fun id -> List.nth s.inputs id) (Config.honest_ids cfg)
+    List.filteri
+      (fun id _ -> Fault.is_honest cfg.Config.faults.(id))
+      s.inputs
   in
   let outputs = exec.Voting.outputs and trace = exec.Voting.trace in
+  (* One tally of the honest inputs serves both voting-validity forms. *)
+  let voting_validity, voting_validity_tb =
+    Validity.voting_verdicts ~tie:s.tie ~honest_inputs ~outputs
+  in
   {
     outputs;
     honest_inputs;
     termination = Validity.termination ~outputs;
     agreement = Validity.agreement ~outputs;
-    voting_validity =
-      Validity.voting_validity ~tie:s.tie ~honest_inputs ~outputs;
-    voting_validity_tb =
-      Validity.voting_validity_tb ~tie:s.tie ~honest_inputs ~outputs;
+    voting_validity;
+    voting_validity_tb;
     strong_validity = Validity.strong_validity ~honest_inputs ~outputs;
     stalled = trace.Trace.stalled;
     rounds = trace.Trace.total_rounds;
@@ -160,7 +164,8 @@ let run_checked (s : spec) =
     | None -> variant
     | Some judgment -> { variant with Variant.judgment }
   in
-  let preferences id = List.nth s.inputs id in
+  let inputs = Array.of_list s.inputs in
+  let preferences id = inputs.(id) in
   let exec =
     match s.protocol with
     | Algo4_local | Cft ->

@@ -63,8 +63,10 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
           (* reusable scratch the sub-machine emits into; its entries are
              transfer-wrapped into [Prepare] after every sub-call *)
       mutable subject : subject option;  (* set once; may be Bb_intf.bottom *)
-      votes : (Types.node_id, subject * Oid.t) Hashtbl.t;  (* first per sender *)
-      proposes : (Types.node_id, subject * Oid.t) Hashtbl.t;
+      votes : int array;
+          (* first vote per sender: subject at [2 * src], choice at
+             [2 * src + 1], the choice [no_choice] until one arrives *)
+      proposes : int array;  (* first propose per sender, same layout *)
       (* Incrementally maintained tallies of the votes/proposes matching
          [subject] (meaningful once the subject is known), with dirty
          flags — so rounds without relevant arrivals skip the propose and
@@ -82,6 +84,20 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
 
     let name = "voting/" ^ Sub.name
 
+    (* Options are non-negative, so a negative choice marks an empty
+       sender slot. *)
+    let no_choice = -1
+
+    (* Record [src]'s message unless it already sent one; true when
+       recorded. *)
+    let first_per_sender table src subject choice =
+      if table.((2 * src) + 1) <> no_choice then false
+      else begin
+        table.(2 * src) <- subject;
+        table.((2 * src) + 1) <- Oid.to_int choice;
+        true
+      end
+
     let equal_msg a b =
       match (a, b) with
       | Prepare a, Prepare b -> Sub.equal_msg a b
@@ -97,7 +113,7 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
         | None -> invalid_arg (name ^ ": requires a known delay bound")
       in
       let value = if ctx.me = input.speaker then Some input.subject else None in
-      let sub_outbox = Outbox.create () in
+      let sub_outbox = Outbox.create ~capacity:4 () in
       let bb =
         Sub.start ~n:ctx.n ~t:ctx.t ~me:ctx.me ~sender:input.speaker ~value
           ~outbox:sub_outbox
@@ -112,8 +128,8 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
         bb_buffer = Vv_bb.Bb_intf.inbox_create ();
         sub_outbox;
         subject = None;
-        votes = Hashtbl.create 16;
-        proposes = Hashtbl.create 16;
+        votes = Array.make (2 * ctx.n) no_choice;
+        proposes = Array.make (2 * ctx.n) no_choice;
         vote_tally = Tally.empty;
         votes_dirty = false;
         prop_tally = Tally.empty;
@@ -128,10 +144,13 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
        cover messages that arrived early); thereafter the cached tallies
        are maintained incrementally at ingest. *)
     let tally_for table s =
-      Hashtbl.fold
-        (fun _src (subj, choice) acc ->
-          if subj = s then Tally.add acc choice else acc)
-        table Tally.empty
+      let acc = ref Tally.empty in
+      for src = 0 to (Array.length table / 2) - 1 do
+        let choice = table.((2 * src) + 1) in
+        if choice <> no_choice && table.(2 * src) = s then
+          acc := Tally.add !acc (Oid.of_int choice)
+      done;
+      !acc
 
     let step (ctx : Protocol.ctx) st ~round ~inbox ~outbox =
       (* Ingest — an indexed loop rather than [Inbox.iter] so a quiet
@@ -144,8 +163,7 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
             | None -> Vv_bb.Bb_intf.inbox_push st.bb_buffer src b
             | Some _ -> ())
         | Vote { subject; choice } ->
-            if not (Hashtbl.mem st.votes src) then begin
-              Hashtbl.add st.votes src (subject, choice);
+            if first_per_sender st.votes src subject choice then begin
               match st.subject with
               | Some s when subject = s ->
                   st.vote_tally <- Tally.add st.vote_tally choice;
@@ -153,8 +171,7 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
               | Some _ | None -> ()
             end
         | Propose { subject; choice } ->
-            if not (Hashtbl.mem st.proposes src) then begin
-              Hashtbl.add st.proposes src (subject, choice);
+            if first_per_sender st.proposes src subject choice then begin
               match st.subject with
               | Some s when subject = s ->
                   st.prop_tally <- Tally.add st.prop_tally choice;

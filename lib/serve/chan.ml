@@ -3,7 +3,13 @@
 
    Inbound: [read_lines] drains whatever the kernel has buffered and
    returns the complete lines, keeping a partial trailing line for the
-   next call.  Outbound: [enqueue] appends one line to a FIFO of unsent
+   next call.  The partial line lives at the front of a growable byte
+   buffer: each read appends after it and only the new bytes are scanned
+   for ['\n'], so a line split across k reads costs O(length), not
+   O(k * length).  A partial line longer than [max_line] kills the
+   channel — an unbounded line is a misbehaving peer, never a request.
+
+   Outbound: [enqueue] appends one line to a FIFO of unsent
    payloads and opportunistically flushes; the select loop retries
    [flush_write] whenever the fd turns writable.  Writes therefore never
    block the daemon — a consumer that stops reading only grows its own
@@ -14,10 +20,15 @@
    progress", and marks the channel dead on any other [Unix_error] (or on
    EOF) instead of raising — a dying peer must never crash the loop. *)
 
+let max_line = 1 lsl 20
+
 type t = {
   fd : Unix.file_descr;
-  inbuf : Buffer.t;  (* bytes read but not yet terminated by '\n' *)
-  scratch : Bytes.t;  (* per-channel read buffer: channels cross domains *)
+  mutable inbuf : Bytes.t;
+      (* [0, inlen) holds bytes read but not yet terminated by '\n';
+         reads land directly after them (per channel: channels cross
+         domains) *)
+  mutable inlen : int;
   outq : string Queue.t;  (* unsent payloads, each ending in '\n' *)
   mutable out_ofs : int;  (* bytes of the queue head already written *)
   mutable out_bytes : int;  (* total unsent bytes across the queue *)
@@ -28,8 +39,8 @@ let of_fd fd =
   Unix.set_nonblock fd;
   {
     fd;
-    inbuf = Buffer.create 256;
-    scratch = Bytes.create 65536;
+    inbuf = Bytes.create 65536;
+    inlen = 0;
     outq = Queue.create ();
     out_ofs = 0;
     out_bytes = 0;
@@ -77,8 +88,16 @@ let enqueue t ~max_outq line =
     else `Ok
   end
 
+(* Reads land after the partial line; a full buffer doubles, which keeps
+   the total copying linear in the line length. *)
 let rec read_available t =
-  match Unix.read t.fd t.scratch 0 (Bytes.length t.scratch) with
+  let cap = Bytes.length t.inbuf in
+  if t.inlen = cap then begin
+    let grown = Bytes.create (2 * cap) in
+    Bytes.blit t.inbuf 0 grown 0 t.inlen;
+    t.inbuf <- grown
+  end;
+  match Unix.read t.fd t.inbuf t.inlen (Bytes.length t.inbuf - t.inlen) with
   | 0 ->
       t.alive <- false;
       0
@@ -95,17 +114,24 @@ let read_lines t =
     match read_available t with
     | 0 -> []
     | len ->
-        Buffer.add_subbytes t.inbuf t.scratch 0 len;
-        let data = Buffer.contents t.inbuf in
-        Buffer.clear t.inbuf;
+        let buf = t.inbuf in
         let lines = ref [] in
         let start = ref 0 in
-        String.iteri
-          (fun i c ->
-            if c = '\n' then begin
-              lines := String.sub data !start (i - !start) :: !lines;
-              start := i + 1
-            end)
-          data;
-        Buffer.add_substring t.inbuf data !start (String.length data - !start);
+        (* Bytes before [inlen] were scanned by earlier calls. *)
+        for i = t.inlen to t.inlen + len - 1 do
+          if Bytes.unsafe_get buf i = '\n' then begin
+            lines := Bytes.sub_string buf !start (i - !start) :: !lines;
+            start := i + 1
+          end
+        done;
+        let rest = t.inlen + len - !start in
+        (* Only a tail after a newline moves, and it is shorter than this
+           read. *)
+        if !start > 0 then Bytes.blit buf !start buf 0 rest;
+        t.inlen <- rest;
+        if rest > max_line then begin
+          t.alive <- false;
+          t.inbuf <- Bytes.empty;
+          t.inlen <- 0
+        end;
         List.rev !lines

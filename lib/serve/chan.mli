@@ -34,7 +34,14 @@ val flush_write : t -> unit
 (** Push queued bytes until the kernel pushes back ([EAGAIN]) or the
     queue empties. Call when select reports the fd writable. *)
 
+val max_line : int
+(** Longest partial line a channel buffers, in bytes (1 MiB). *)
+
 val read_lines : t -> string list
 (** Drain readable bytes and return the complete lines, buffering any
     partial trailing line. [[]] when nothing is available — check
-    {!alive} afterwards to distinguish quiet from EOF/error. *)
+    {!alive} afterwards to distinguish quiet from EOF/error. Only the
+    newly read bytes are scanned, so a line split across many reads
+    costs time linear in its length. A partial line longer than
+    {!max_line} marks the channel dead (its buffer is released); the
+    complete lines of that read are still returned. *)

@@ -31,13 +31,23 @@
    Representation: a delivery in flight is not a record but an immediate
    meta word ([src lsl 20 lor dst]; the retry queue adds the attempt
    count in higher bits) alongside an untyped message slot, both living
-   in preallocated growable buffers.  Future rounds are scheduled into a
-   round-indexed circular bucket array (power-of-two capacity, slot =
-   round land (cap - 1), grown on collision) instead of a Hashtbl of
-   lists.  Together with the outbox/inbox-view protocol API this makes
-   the steady-state round loop allocate almost nothing — the per-round
-   budget is pinned by test_perf.ml, and every campaign golden is
-   byte-identical to the list-based engine's output.
+   in growable buffers.  Future rounds are scheduled into a round-indexed
+   circular bucket array (power-of-two capacity, slot = round land
+   (cap - 1), grown on collision); a bucket borrows a cleared buffer from
+   its scheduler's free list while its round is live.  All of a run's
+   buffers — both schedulers, the delivery arena with its counting-sort
+   [counts] and inbox offsets/lengths, the honest send buffer, the
+   inbox view, the outbox, the per-node state and phase columns and the
+   trace builder — belong to a [context] that is reset on entry to
+   [run_exn], not rebuilt: one per domain (in [Domain.DLS]), untyped so
+   every [Make] instance shares it.  Release clears every message and
+   state slot so a finished run's payloads are unreachable, and a run
+   started while its domain's context is busy (nested inside an
+   adversary's [act]) gets a fresh one.  Together with the
+   outbox/inbox-view protocol API this makes the steady-state round
+   allocate almost nothing and per-run set-up cheap — both budgets are
+   pinned by test_perf.ml, and every campaign golden is byte-identical
+   to the list-based engine's output.
 
    Determinism contract (pinned by the goldens): the delay RNG is drawn
    once per routed delivery in routing order — retransmissions first (in
@@ -121,31 +131,62 @@ let buf_clear b =
   b.blen <- 0
 
 (* Round-indexed circular bucket scheduler: the replacement for the old
-   Hashtbl-of-lists pending map.  Slot = round land (cap - 1); a slot
+   Hashtbl-of-lists pending map.  Slot = round land (cap - 1); a live slot
    remembers which round its contents belong to, and a collision with a
-   non-empty slot doubles the capacity until every live bucket lands on a
+   live slot doubles the capacity until every live bucket lands on a
    distinct slot (bounded by max_rounds, and never reached with the
-   repo's delay bounds and the default capacity). *)
+   repo's delay bounds and the default capacity).
+
+   Buckets do not own buffers: a bucket borrows a cleared buffer from the
+   scheduler's free list when it goes live and [release] returns it, so
+   the capacity a scheduler retains across runs follows the rounds that
+   were live at once, not the size of the ring. *)
 module Sched = struct
-  type bucket = { mutable round : int; buf : buf }
+  (* The buffer of every free bucket, and [take]'s "nothing due" answer.
+     It is never pushed into, so it stays empty. *)
+  let no_buf = buf_make ()
+
+  type bucket = { mutable round : int; mutable buf : buf }
 
   type t = {
     mutable cap : int;
     mutable buckets : bucket array;
     mutable live : int;  (* deliveries currently scheduled, all buckets *)
+    mutable free : buf array;  (* cleared buffers, a stack *)
+    mutable nfree : int;
   }
+
+  let free_buckets cap = Array.init cap (fun _ -> { round = -1; buf = no_buf })
 
   let create () =
     let cap = 16 in
-    {
-      cap;
-      buckets = Array.init cap (fun _ -> { round = -1; buf = buf_make () });
-      live = 0;
-    }
+    { cap; buckets = free_buckets cap; live = 0; free = [||]; nfree = 0 }
+
+  let borrow t =
+    if t.nfree = 0 then buf_make ()
+    else begin
+      t.nfree <- t.nfree - 1;
+      let b = t.free.(t.nfree) in
+      t.free.(t.nfree) <- no_buf;
+      b
+    end
+
+  (* Clear a buffer obtained from [take] and return it to the free list. *)
+  let release t b =
+    if b != no_buf then begin
+      buf_clear b;
+      if t.nfree = Array.length t.free then begin
+        let free = Array.make (max 4 (2 * t.nfree)) no_buf in
+        Array.blit t.free 0 free 0 t.nfree;
+        t.free <- free
+      end;
+      t.free.(t.nfree) <- b;
+      t.nfree <- t.nfree + 1
+    end
 
   let grow t =
     let live =
-      Array.to_list t.buckets |> List.filter (fun b -> b.buf.blen > 0)
+      Array.to_list t.buckets |> List.filter (fun b -> b.buf != no_buf)
     in
     let rec fit cap =
       let seen = Array.make cap false in
@@ -163,18 +204,19 @@ module Sched = struct
       if ok then cap else fit (2 * cap)
     in
     let cap = fit (2 * t.cap) in
-    let buckets = Array.init cap (fun _ -> { round = -1; buf = buf_make () }) in
+    let buckets = free_buckets cap in
     List.iter (fun b -> buckets.(b.round land (cap - 1)) <- b) live;
     t.cap <- cap;
     t.buckets <- buckets
 
   let rec bucket_for t round =
     let b = t.buckets.(round land (t.cap - 1)) in
-    if b.round = round then b
-    else if b.buf.blen = 0 then begin
+    if b.buf == no_buf then begin
       b.round <- round;
+      b.buf <- borrow t;
       b
     end
+    else if b.round = round then b
     else begin
       grow t;
       bucket_for t round
@@ -184,16 +226,19 @@ module Sched = struct
     buf_push (bucket_for t round).buf meta msg;
     t.live <- t.live + 1
 
-  (* The bucket due at [round], or [None]; the caller consumes the buffer
-     and must [buf_clear] it afterwards (the live count is surrendered
-     here, on take). *)
+  (* Detach the buffer due at [round] ([no_buf], empty, when nothing is
+     due) and surrender its live count; the caller consumes it and hands
+     it back with [release].  Its bucket is free again at once, so pushes
+     made while the caller consumes it cannot collide with it. *)
   let take t round =
     let b = t.buckets.(round land (t.cap - 1)) in
-    if b.round = round && b.buf.blen > 0 then begin
-      t.live <- t.live - b.buf.blen;
-      Some b.buf
+    if b.buf != no_buf && b.round = round then begin
+      let buf = b.buf in
+      b.buf <- no_buf;
+      t.live <- t.live - buf.blen;
+      buf
     end
-    else None
+    else no_buf
 
   let is_empty t = t.live = 0
 
@@ -209,7 +254,89 @@ module Sched = struct
         done)
       t.buckets;
     !acc
+
+  (* Release every live bucket: the scheduler is empty and holds no
+     payload afterwards. *)
+  let reset t =
+    Array.iter
+      (fun b ->
+        if b.buf != no_buf then begin
+          release t b.buf;
+          b.buf <- no_buf
+        end)
+      t.buckets;
+    t.live <- 0
 end
+
+(* The run context: every buffer a run needs, reset on entry instead of
+   rebuilt.  Storage is untyped ([Obj.t] messages and states), so one
+   context serves every [Make] instance; each domain keeps one, and a run
+   started while the domain's context is busy (a run nested inside an
+   adversary's [act], say) gets a fresh one. *)
+type context = {
+  mutable busy : bool;
+  pending : Sched.t;  (* future deliveries *)
+  retries : Sched.t;  (* retransmission timers *)
+  (* Delivery arena: the round's deliveries, grouped by recipient. *)
+  mutable arena_srcs : int array;
+  mutable arena_msgs : Obj.t array;
+  mutable counts : int array;  (* counting-sort keys, n * n *)
+  mutable inbox_off : int array;
+  mutable inbox_len : int array;
+  honest_buf : buf;  (* the round's expanded honest sends *)
+  inbox : unit Inbox.t;
+  outbox : unit Outbox.t;
+  (* Per-node columns, valid for indices [0, n) of the current run. *)
+  mutable states : Obj.t array;
+  mutable phases : Obj.t array;  (* last phase label, [dummy] = none *)
+  trace : Trace.builder;
+}
+
+let context_make () =
+  {
+    busy = false;
+    pending = Sched.create ();
+    retries = Sched.create ();
+    arena_srcs = [||];
+    arena_msgs = [||];
+    counts = [||];
+    inbox_off = [||];
+    inbox_len = [||];
+    honest_buf = buf_make ();
+    inbox = Inbox.create ();
+    outbox = Outbox.create ();
+    states = [||];
+    phases = [||];
+    trace = Trace.builder ();
+  }
+
+let context_key = Domain.DLS.new_key context_make
+
+let acquire ~n =
+  let c = Domain.DLS.get context_key in
+  let c = if c.busy then context_make () else c in
+  c.busy <- true;
+  if Array.length c.inbox_off < n then begin
+    c.counts <- Array.make (n * n) 0;
+    c.inbox_off <- Array.make n 0;
+    c.inbox_len <- Array.make n 0;
+    c.states <- Array.make n dummy;
+    c.phases <- Array.make n dummy
+  end;
+  Array.fill c.phases 0 n dummy;
+  c
+
+(* Drop every message and state the run left behind, so nothing of it
+   stays reachable from the context, and free the context. *)
+let release c =
+  Sched.reset c.pending;
+  Sched.reset c.retries;
+  Array.fill c.arena_msgs 0 (Array.length c.arena_msgs) dummy;
+  buf_clear c.honest_buf;
+  Inbox.set_empty c.inbox;
+  Outbox.clear c.outbox;
+  Array.fill c.states 0 (Array.length c.states) dummy;
+  c.busy <- false
 
 module Make (P : Protocol.S) = struct
   type result = {
@@ -292,7 +419,7 @@ module Make (P : Protocol.S) = struct
               groups)
           by_src
 
-  let run_exn (cfg : Config.t) ~inputs ?(adversary = Adversary.passive) () =
+  let run_in (c : context) (cfg : Config.t) ~inputs ~adversary =
     let n = cfg.Config.n in
     let max_rounds = cfg.Config.max_rounds in
     let network = cfg.Config.network in
@@ -322,22 +449,23 @@ module Make (P : Protocol.S) = struct
             rng = node_rngs.(id);
           })
     in
-    let tb =
-      Trace.builder ~chaos ~protocol:P.name ~adversary:adversary.Adversary.name
-        ~n ~t:cfg.Config.t_max ()
-    in
-    (* Node states, written before they are first read (round 0 is init). *)
-    let states : P.state array = Obj.magic (Array.make n dummy) in
+    let tb = c.trace in
+    Trace.reset tb ~chaos ~protocol:P.name ~adversary:adversary.Adversary.name
+      ~n ~t:cfg.Config.t_max;
+    (* Node states, written before they are first read (round 0 is init);
+       the context's untyped column, read back at [P.state]. *)
+    let states = c.states in
+    let state id : P.state = Obj.obj states.(id) in
     let outputs : P.output option array = Array.make n None in
     let decision_round : int option array = Array.make n None in
-    let phases : string option array = Array.make n None in
+    let phases = c.phases in
     let note_phase ~round id state =
       let phase = P.phase state in
-      match phases.(id) with
-      | Some p when String.equal p phase -> ()
-      | Some _ | None ->
-          phases.(id) <- Some phase;
-          Trace.record_phase tb ~round ~node:id ~phase
+      let last = phases.(id) in
+      if last == dummy || not (String.equal (Obj.obj last) phase) then begin
+        phases.(id) <- Obj.repr phase;
+        Trace.record_phase tb ~round ~node:id ~phase
+      end
     in
     (* Last round (inclusive) each node still steps: crash nodes step
        through their crash round, Byzantine nodes never do. *)
@@ -354,8 +482,7 @@ module Make (P : Protocol.S) = struct
     let reach_fn = Config.reach cfg in
     (* Future deliveries and retransmission timers, as packed circular
        bucket queues. *)
-    let pending = Sched.create () in
-    let retries = Sched.create () in
+    let pending = c.pending and retries = c.retries in
     let schedule ~arrival ~src ~dst msg =
       if arrival < max_rounds then
         Sched.push pending arrival ((src lsl dst_bits) lor dst) msg
@@ -432,18 +559,17 @@ module Make (P : Protocol.S) = struct
        [dst * n + src] (stable in scheduling order), reproducing the old
        per-recipient stable-sort-by-sender inbox order exactly; nodes
        then read (offset, length) windows of the arena. *)
-    let arena_srcs = ref [||] and arena_msgs = ref [||] in
-    let counts = Array.make (n * n) 0 in
-    let inbox_off = Array.make n 0 in
-    let inbox_len = Array.make n 0 in
+    let counts = c.counts and inbox_off = c.inbox_off in
+    let inbox_len = c.inbox_len in
     let have_inbox = ref false in
     let sort_into_arena (b : buf) =
       let len = b.blen in
-      if Array.length !arena_srcs < len then begin
-        let cap = max len (2 * Array.length !arena_srcs) in
-        arena_srcs := Array.make cap 0;
-        arena_msgs := Array.make cap dummy
+      if Array.length c.arena_srcs < len then begin
+        let cap = max len (2 * Array.length c.arena_srcs) in
+        c.arena_srcs <- Array.make cap 0;
+        c.arena_msgs <- Array.make cap dummy
       end;
+      let arena_srcs = c.arena_srcs and arena_msgs = c.arena_msgs in
       Array.fill counts 0 (n * n) 0;
       for i = 0 to len - 1 do
         let m = b.meta.(i) in
@@ -467,8 +593,8 @@ module Make (P : Protocol.S) = struct
         let key = ((m land id_mask) * n) + src in
         let pos = counts.(key) in
         counts.(key) <- pos + 1;
-        !arena_srcs.(pos) <- src;
-        !arena_msgs.(pos) <- b.bmsgs.(i)
+        arena_srcs.(pos) <- src;
+        arena_msgs.(pos) <- b.bmsgs.(i)
       done
     in
     (* This round's inbox of node [id], as the old assoc-list shape (for
@@ -481,16 +607,18 @@ module Make (P : Protocol.S) = struct
           if i < off then acc
           else
             go (i - 1)
-              ((!arena_srcs.(i), (Obj.obj !arena_msgs.(i) : P.msg)) :: acc)
+              ((c.arena_srcs.(i), (Obj.obj c.arena_msgs.(i) : P.msg)) :: acc)
         in
         go (off + inbox_len.(id) - 1) []
       end
     in
-    let inbox : P.msg Inbox.t = Inbox.create () in
-    let outbox : P.msg Outbox.t = Outbox.create () in
+    (* The context's inbox view and outbox, at this protocol's message
+       type: both store messages as [Obj.t] under a phantom parameter. *)
+    let inbox : P.msg Inbox.t = Obj.magic c.inbox in
+    let outbox : P.msg Outbox.t = Obj.magic c.outbox in
     (* The round's expanded honest sends (after crash filtering), packed;
        doubles as the adversary's observation and the routing work list. *)
-    let honest_buf = buf_make () in
+    let honest_buf = c.honest_buf in
     let expand_outbox ~round ~src =
       let reach = cfg.Config.reach_arr.(src) in
       let olen = Outbox.length outbox in
@@ -553,53 +681,45 @@ module Make (P : Protocol.S) = struct
       }
     in
     let stalled = ref false in
-    let newly_decided = ref [] in
     (try
        for round = 0 to max_rounds - 1 do
          dropped := 0;
          duplicated := 0;
          retransmitted := 0;
-         newly_decided := [];
          (* 1. deliver: sort this round's bucket into the arena. *)
-         (match Sched.take pending round with
-         | None -> have_inbox := false
-         | Some b ->
-             sort_into_arena b;
-             buf_clear b;
-             have_inbox := true);
-         (* 2. fire retransmission timers due this round, in queue order. *)
-         (match Sched.take retries round with
-         | None -> ()
-         | Some b ->
-             (* The buffer must be released before routing (retries can
-                queue further retries for later rounds, and routing this
-                round's sends appends to [pending]) — copy it out via the
-                round's scratch buffer.  Retries are rare enough that the
-                swap is free in the common case. *)
-             let len = b.blen in
-             for i = 0 to len - 1 do
-               incr retransmitted;
-               let m = b.meta.(i) in
-               route ~round
-                 ~attempt:(m lsr attempt_shift)
-                 ~src:((m lsr dst_bits) land id_mask)
-                 ~dst:(m land id_mask) b.bmsgs.(i)
-             done;
-             buf_clear b);
+         let b = Sched.take pending round in
+         have_inbox := b.blen > 0;
+         if !have_inbox then begin
+           sort_into_arena b;
+           Sched.release pending b
+         end;
+         (* 2. fire retransmission timers due this round, in queue order.
+            [take] detached the buffer from its bucket, so retries this
+            routing queues for later rounds cannot land in it. *)
+         let b = Sched.take retries round in
+         for i = 0 to b.blen - 1 do
+           incr retransmitted;
+           let m = b.meta.(i) in
+           route ~round
+             ~attempt:(m lsr attempt_shift)
+             ~src:((m lsr dst_bits) land id_mask)
+             ~dst:(m land id_mask) b.bmsgs.(i)
+         done;
+         Sched.release retries b;
          buf_clear honest_buf;
          (* 3. step honest and not-yet-crashed nodes in id order. *)
          for id = 0 to n - 1 do
            if round <= step_until.(id) then begin
              if !have_inbox then
-               Inbox.set_view inbox ~srcs:!arena_srcs ~msgs:!arena_msgs
+               Inbox.set_view inbox ~srcs:c.arena_srcs ~msgs:c.arena_msgs
                  ~off:inbox_off.(id) ~len:inbox_len.(id)
              else Inbox.set_empty inbox;
              Outbox.clear outbox;
              let state' =
                if round = 0 then P.init ctxs.(id) (inputs id) ~outbox
-               else P.step ctxs.(id) states.(id) ~round ~inbox ~outbox
+               else P.step ctxs.(id) (state id) ~round ~inbox ~outbox
              in
-             states.(id) <- state';
+             states.(id) <- Obj.repr state';
              note_phase ~round id state';
              (match P.output state' with
              | Some _ as out -> (
@@ -608,7 +728,6 @@ module Make (P : Protocol.S) = struct
                  | None ->
                      outputs.(id) <- out;
                      decision_round.(id) <- Some round;
-                     newly_decided := id :: !newly_decided;
                      if Fault.is_honest cfg.Config.faults.(id) then
                        decr undecided_honest;
                      Trace.record_decide tb ~round ~node:id;
@@ -644,10 +763,9 @@ module Make (P : Protocol.S) = struct
              ~src:((m lsr dst_bits) land id_mask)
              ~dst:(m land id_mask) honest_buf.bmsgs.(i)
          done;
-         Trace.record_round tb ~round ~honest_sent:honest_buf.blen
+         Trace.record_round tb ~honest_sent:honest_buf.blen
            ~byz_sent:(List.length plans) ~dropped:!dropped
-           ~duplicated:!duplicated ~retransmitted:!retransmitted
-           ~newly_decided:!newly_decided;
+           ~duplicated:!duplicated ~retransmitted:!retransmitted;
          if debugging then
            Log.debug (fun m ->
                m "%s: round %d sent honest=%d byzantine=%d dropped=%d (%s)"
@@ -668,13 +786,13 @@ module Make (P : Protocol.S) = struct
              (* Byzantine nodes never step (and hold no state); a crash
                 node past its crash round is as quiet as one mid-life and
                 inert.  Only nodes that will still step need the check. *)
-             if step_until.(id) > round && not (P.inert states.(id)) then
+             if step_until.(id) > round && not (P.inert (state id)) then
                all_inert := false
            done;
            if !all_inert then begin
-             for r = round + 1 to max_rounds - 1 do
-               Trace.record_round tb ~round:r ~honest_sent:0 ~byz_sent:0
-                 ~dropped:0 ~duplicated:0 ~retransmitted:0 ~newly_decided:[]
+             for _ = round + 1 to max_rounds - 1 do
+               Trace.record_round tb ~honest_sent:0 ~byz_sent:0 ~dropped:0
+                 ~duplicated:0 ~retransmitted:0
              done;
              stalled := true;
              raise Exit
@@ -689,6 +807,19 @@ module Make (P : Protocol.S) = struct
       decision_round;
       trace = Trace.snapshot tb ~stalled:!stalled;
     }
+
+  (* Every run borrows its domain's context and hands it back on every
+     exit, the [Invalid_adversary] one included. *)
+  let run_exn (cfg : Config.t) ~inputs ?(adversary = Adversary.passive) () =
+    let c = acquire ~n:cfg.Config.n in
+    match run_in c cfg ~inputs ~adversary with
+    | res ->
+        release c;
+        res
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        release c;
+        Printexc.raise_with_backtrace e bt
 
   let run (cfg : Config.t) ~inputs ?adversary () =
     match run_exn cfg ~inputs ?adversary () with

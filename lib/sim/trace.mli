@@ -11,8 +11,18 @@
 
     Runs without the chaos substrate ([chaos = false]) emit exactly the
     pre-substrate CSV/JSON shape — the chaos columns appear only when the
-    run had the substrate or retransmission engaged. *)
+    run had the substrate or retransmission engaged.
 
+    {b Packed representation.} A snapshot does not hold one record per
+    round. Its per-round counters live in one int array,
+    [round_counts], two ints per executed round (honest_sent, byz_sent)
+    or five under chaos (then dropped, duplicated, retransmitted), in
+    round order. Which nodes decided in a round, and how many had decided
+    by its end, follow from [decide_rounds]. The {!rounds} accessor
+    unpacks both into {!round_record}s on demand, and the emitters read
+    the records through it, so their output is unchanged. *)
+
+(** One executed round, as unpacked by {!rounds}. *)
 type round_record = {
   round : int;
   honest_sent : int;  (** honest deliveries sent this round *)
@@ -21,7 +31,7 @@ type round_record = {
   duplicated : int;  (** extra copies injected by the substrate *)
   retransmitted : int;  (** retransmission attempts fired this round *)
   newly_decided : Types.node_id list;  (** ascending *)
-  decided_total : int;  (** cumulative honest decisions after this round *)
+  decided_total : int;  (** cumulative decisions after this round *)
 }
 
 type phase_event = {
@@ -35,7 +45,10 @@ type snapshot = {
   adversary : string;
   n : int;
   t : int;
-  rounds : round_record list;  (** ascending by round *)
+  round_counts : int array;
+      (** packed per-round counters: 2 per executed round (honest_sent,
+          byz_sent), 5 when [chaos] (then dropped, duplicated,
+          retransmitted); read them through {!rounds} *)
   phases : phase_event list;  (** chronological, ties by node id *)
   decide_rounds : (Types.node_id * int) list;  (** ascending by node id *)
   honest_msgs : int;
@@ -53,49 +66,61 @@ type snapshot = {
   chaos : bool;  (** substrate or retransmission engaged for this run *)
 }
 
-(** {1 Builder — used by the engine while a run is in flight} *)
+(** {1 Builder — used by the engine while a run is in flight}
+
+    A builder is reusable: {!reset} re-arms it for the next run and keeps
+    the capacity of its columns, so an engine that keeps one builder per
+    domain records rounds without allocating. *)
 
 type builder
 
-val builder :
-  ?chaos:bool ->
+val builder : unit -> builder
+(** An empty builder; {!reset} it before the first run. *)
+
+val reset :
+  builder ->
+  chaos:bool ->
   protocol:string ->
   adversary:string ->
   n:int ->
   t:int ->
-  unit ->
-  builder
-(** [chaos] defaults to [false]; set it when the run goes through the
-    chaos substrate or a retransmission policy, which switches the
-    emitters to the extended schema. *)
+  unit
+(** Start a new run. Set [chaos] when the run goes through the chaos
+    substrate or a retransmission policy, which switches the snapshot and
+    the emitters to the extended schema. *)
 
 val record_phase : builder -> round:int -> node:Types.node_id -> phase:string -> unit
 
 val record_decide : builder -> round:int -> node:Types.node_id -> unit
+(** At most once per node and run. *)
 
 val record_round :
   builder ->
-  round:int ->
   honest_sent:int ->
   byz_sent:int ->
   dropped:int ->
   duplicated:int ->
   retransmitted:int ->
-  newly_decided:Types.node_id list ->
   unit
-(** The chaos counters are mandatory (pass [0] outside the substrate):
-    one call per round, and optional-argument wrapping would allocate on
-    the engine's hot path. *)
+(** Record the next round: rounds are recorded consecutively from 0. The
+    chaos counters are mandatory (pass [0] outside the substrate): one
+    call per round, and optional-argument wrapping would allocate on the
+    engine's hot path. *)
 
 val snapshot : builder -> stalled:bool -> snapshot
-(** Freeze. The builder may keep accumulating afterwards; the snapshot is
-    unaffected. *)
+(** Freeze. The snapshot shares nothing mutable with the builder, so the
+    builder may be reset and reused afterwards. *)
 
 (** {1 Queries} *)
 
 val messages_total : snapshot -> int
 val decide_round : snapshot -> Types.node_id -> int option
 val phases_of : snapshot -> Types.node_id -> phase_event list
+
+val rounds : snapshot -> round_record list
+(** One record per executed round, ascending by round: the counters
+    unpacked from [round_counts], [newly_decided] and [decided_total]
+    derived from [decide_rounds]. Allocates the list on every call. *)
 
 (** {1 Emitters} *)
 

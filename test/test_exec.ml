@@ -341,7 +341,7 @@ let test_trace_consistent_with_outcome () =
       (List.map Oid.of_int [ 0; 0; 0; 1; 2 ])
   in
   let tr = o.Runner.trace in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 tr.Trace.rounds in
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 (Trace.rounds tr) in
   check_int "per-round honest sends sum to the total" tr.Trace.honest_msgs
     (sum (fun r -> r.Trace.honest_sent));
   check_int "per-round byz sends sum to the total" tr.Trace.byz_msgs

@@ -58,8 +58,9 @@ let minor_words_of_run ~max_rounds =
   int_of_float (w1 -. w0)
 
 (* The steady-state budget: the marginal allocation of one additional
-   round of 16 broadcast deliveries.  Currently dominated by the trace's
-   round record (~15 words); 64 leaves slack for representation changes
+   round of 16 broadcast deliveries.  Measured at 3 words (the round's
+   slots in the trace's packed counters); 64 leaves slack for
+   representation changes
    while still catching any per-delivery or per-view regression (16
    deliveries at even 3 boxed words each would add ~48). *)
 let words_per_round_budget = 64
@@ -75,8 +76,9 @@ let test_round_allocation () =
     true
     (per_round <= words_per_round_budget);
   (* And the budget is not vacuously loose: a warm round costs something
-     (the trace record), so a zero reading would mean the measurement is
-     broken (e.g. the run fast-forwarded instead of executing rounds). *)
+     (its slots in the trace snapshot's packed counters), so a zero
+     reading would mean the measurement is broken (e.g. the run
+     fast-forwarded instead of executing rounds). *)
   Alcotest.(check bool) "rounds actually execute and allocate" true
     (per_round > 0)
 
@@ -99,11 +101,13 @@ let test_run_allocation () =
    check-style execution (n = 5, t = 1, one scripted Byzantine node,
    Algorithm 1 over Dolev-Strong) through [Runner.run_checked], measured
    warm.  It covers everything a run builds besides the rounds — config,
-   engine arrays, trace, outcome record and property checks — so a
-   regression in per-run construction or accounting shows up here even
-   when the per-round budget above is untouched.  Measured at 5,783
-   words (x86-64, OCaml 5.1.1); the budget leaves about 12% of slack. *)
-let words_per_run_budget = 6_500
+   per-node protocol state, trace snapshot, outcome record and property
+   checks; the engine's buffers come from the domain's reused run
+   context — so a regression in per-run construction or accounting shows
+   up here even when the per-round budget above is untouched.  Measured
+   at 3,691 words (x86-64, OCaml 5.1.1); the budget leaves about 11% of
+   slack. *)
+let words_per_run_budget = 4_100
 
 let checked_spec =
   let module Runner = Vv_core.Runner in

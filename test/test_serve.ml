@@ -9,6 +9,7 @@ module Rpc = Vv_serve.Rpc
 module Server = Vv_serve.Server
 module Replica = Vv_serve.Replica
 module Client = Vv_serve.Client
+module Chan = Vv_serve.Chan
 
 let o = Oid.of_int
 let check = Alcotest.check
@@ -295,6 +296,96 @@ let test_stalled_consumer_disconnected () =
   check_bool "the stalled client was disconnected" true
     (outcome.Server.slow_disconnects >= 1)
 
+(* --- line channel --- *)
+
+(* A line dribbled in across many small reads comes back whole, and the
+   lines that share a read with it are split correctly. *)
+let test_chan_split_line () =
+  let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let ch = Chan.of_fd r in
+  let long = String.init 200_000 (fun i -> Char.chr (97 + (i mod 26))) in
+  let got = ref [] in
+  let drain () = got := !got @ Chan.read_lines ch in
+  let piece = 97 in
+  let rec feed ofs =
+    if ofs < String.length long then begin
+      let len = min piece (String.length long - ofs) in
+      ignore (Unix.write_substring w long ofs len);
+      drain ();
+      feed (ofs + len)
+    end
+  in
+  ignore (Unix.write_substring w "first\n" 0 6);
+  drain ();
+  feed 0;
+  check_int "no line before its newline" 1 (List.length !got);
+  let tail = "\nsecond\nthi" in
+  ignore (Unix.write_substring w tail 0 (String.length tail));
+  drain ();
+  ignore (Unix.write_substring w "rd\n" 0 3);
+  drain ();
+  check (Alcotest.list Alcotest.string) "lines intact"
+    [ "first"; long; "second"; "third" ] !got;
+  check_bool "channel alive" true (Chan.alive ch);
+  Chan.close ch;
+  Unix.close w
+
+(* One client streaming 8 MiB without a newline is disconnected once its
+   partial line passes [Chan.max_line]; another client is still served. *)
+let test_endless_line_disconnected () =
+  let (status : bool), _ =
+    with_server ~batch:2 (fun path ->
+        let flood = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect flood (Unix.ADDR_UNIX path);
+        (* A daemon that never disconnects fails the test, not hangs it. *)
+        Unix.setsockopt_float flood Unix.SO_RCVTIMEO 10.;
+        Unix.setsockopt_float flood Unix.SO_SNDTIMEO 10.;
+        let chunk = Bytes.make 65536 'x' in
+        let rec stream sent =
+          if sent >= 8 lsl 20 then `Sent_all
+          else
+            match Unix.write flood chunk 0 (Bytes.length chunk) with
+            | n -> stream (sent + n)
+            | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _)
+              ->
+                `Disconnected
+            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+              ->
+                `Stuck
+        in
+        let outcome = stream 0 in
+        let eof =
+          match Unix.read flood chunk 0 1 with
+          | 0 -> true
+          | _ -> false
+          | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+            ->
+              false
+        in
+        check_bool "flooding client disconnected" true
+          (outcome = `Disconnected || eof);
+        Unix.close flood;
+        let conn = Client.connect_unix ~retry_for:10. path in
+        let served =
+          match
+            Client.request conn ~id:(Json.String "s") ~meth:"status"
+              (Json.Obj [])
+          with
+          | Ok (Json.Obj _) -> true
+          | Ok _ | Error _ -> false
+        in
+        (match
+           Client.request conn ~id:(Json.String "q") ~meth:"shutdown"
+             (Json.Obj [])
+         with
+        | Ok _ -> ()
+        | Error msg -> Alcotest.failf "shutdown: %s" msg);
+        Client.close conn;
+        served)
+  in
+  check_bool "second client served" true status
+
 let test_listen_unix_socket_hygiene () =
   (* A live daemon on the path: claiming it must fail loudly. *)
   let (), _ =
@@ -490,6 +581,8 @@ let () =
           Alcotest.test_case "parse" `Quick test_rpc_parse;
           Alcotest.test_case "decision line round-trip" `Quick
             test_rpc_decision_roundtrip;
+          Alcotest.test_case "line split across reads" `Quick
+            test_chan_split_line;
         ] );
       ( "daemon",
         [
@@ -511,6 +604,8 @@ let () =
             test_listen_unix_socket_hygiene;
           Alcotest.test_case "racy load decides the subject set" `Quick
             test_racy_load_subject_set;
+          Alcotest.test_case "endless line disconnected" `Quick
+            test_endless_line_disconnected;
         ] );
       ( "replica",
         [

@@ -258,7 +258,7 @@ let test_max_rounds_is_a_round_budget () =
     (fun (r : Trace.round_record) ->
       check_bool "round index within budget" true
         (r.Trace.round >= 0 && r.Trace.round < budget))
-    res.EM.trace.Trace.rounds
+    (Trace.rounds res.EM.trace)
 
 let test_unicast_under_local_broadcast_rejected () =
   let module Uni = struct
@@ -410,6 +410,114 @@ let test_in_flight_view () =
     (at 1);
   check triples "drained once delivered" [] (at 2)
 
+(* --- run-context reuse --- *)
+
+(* Every run borrows its domain's reusable context (engine buffers, trace
+   builder).  Interleaving very different runs in one domain — a wide
+   run, a chaos run with retransmission, a run aborted mid-round by an
+   invalid adversary, and a run nested inside an adversary's [act] — must
+   give each the result it gets alone in a freshly spawned domain. *)
+module Runner = Vv_core.Runner
+
+let render_outcome = function
+  | Error (`Invalid_adversary reason) -> "invalid: " ^ reason
+  | Ok (o : Runner.outcome) ->
+      Fmt.str "%a|%a|%s|%s"
+        Fmt.(Dump.list (Dump.option Vv_ballot.Option_id.pp))
+        o.Runner.outputs
+        Fmt.(Dump.list (Dump.option int))
+        o.Runner.decision_rounds
+        (Trace.to_csv o.Runner.trace)
+        (Vv_prelude.Json.to_string (Trace.to_json o.Runner.trace))
+
+let render_flood = function
+  | Error (`Invalid_adversary reason) -> "invalid: " ^ reason
+  | Ok res ->
+      Fmt.str "%a|%s|%s"
+        Fmt.(Dump.list (Dump.list (Dump.pair int int)))
+        (values res) (Trace.to_csv res.E.trace)
+        (Vv_prelude.Json.to_string (Trace.to_json res.E.trace))
+
+let phase_king_64 () =
+  let o = Vv_ballot.Option_id.of_int in
+  render_outcome
+    (Runner.run_checked
+       (Runner.simple_spec ~protocol:Runner.Algo1 ~bb:Vv_bb.Bb.Phase_king
+          ~strategy:Vv_core.Strategy.Collude_second ~t:21 ~f:21
+          (List.init 43 (fun i -> o (if i < 30 then 0 else 1 + (i mod 2))))))
+
+let eig_chaos_spec =
+  Runner.spec ~byzantine:[ 3 ] ~bb:Vv_bb.Bb.Eig
+    ~strategy:Vv_core.Strategy.Collude_second
+    ~network:(Network.make ~drop:0.2 ~duplicate:0.1 ~jitter:1 ~seed:11 ())
+    ~retransmit:Retransmit.default ~seed:5 ~n:4 ~t:1
+    (List.map Vv_ballot.Option_id.of_int [ 0; 0; 1; 0 ])
+
+let eig_chaos () = render_outcome (Runner.run_checked eig_chaos_spec)
+
+(* Legal Byzantine traffic for two rounds, then a send impersonating
+   honest node 0.  The slow links leave deliveries in flight at the
+   abort, which the next run in the domain must not see. *)
+let invalid_mid_round () =
+  let cfg =
+    Config.with_byzantine ~delay:(Delay.Fixed 3) ~n:4 ~t_max:1 [ 3 ] ()
+  in
+  let adversary =
+    Adversary.named "impersonate-late" (fun view ->
+        match view.Adversary.round with
+        | 0 | 1 -> List.init 4 (fun dst -> { Adversary.src = 3; dst; msg = 7 })
+        | 2 -> [ { Adversary.src = 0; dst = 1; msg = 1 } ]
+        | _ -> [])
+  in
+  render_flood (E.run cfg ~inputs:(fun id -> id) ~adversary ())
+
+(* A flood run whose adversary runs [eig_chaos] from inside [act]. *)
+let nested () =
+  let inner = ref "" in
+  let cfg = Config.with_byzantine ~n:4 ~t_max:1 [ 3 ] () in
+  let adversary =
+    Adversary.named "nesting" (fun view ->
+        if view.Adversary.round <> 1 then []
+        else begin
+          inner := eig_chaos ();
+          List.init 4 (fun dst -> { Adversary.src = 3; dst; msg = 9 })
+        end)
+  in
+  let outer = render_flood (E.run cfg ~inputs:(fun id -> id) ~adversary ()) in
+  outer ^ "\n" ^ !inner
+
+let test_context_reuse_invisible () =
+  let runs =
+    [
+      ("phase-king n=64", phase_king_64);
+      ("eig n=4 chaos+retransmit", eig_chaos);
+      ("invalid adversary mid-round", invalid_mid_round);
+      ("nested run", nested);
+    ]
+  in
+  let fresh =
+    List.map (fun (name, run) -> (name, Domain.join (Domain.spawn run))) runs
+  in
+  (* The scenarios exercise what they claim to. *)
+  (match Runner.run_checked eig_chaos_spec with
+  | Ok o ->
+      let tr = o.Runner.trace in
+      check_bool "chaos run drops and retransmits" true
+        (tr.Trace.dropped_msgs > 0 && tr.Trace.retrans_msgs > 0)
+  | Error _ -> Alcotest.fail "chaos run rejected");
+  let starts prefix name = String.starts_with ~prefix (List.assoc name fresh) in
+  check_bool "aborted mid-round" true
+    (starts "invalid: " "invalid adversary mid-round");
+  check_bool "nested run recorded" true
+    (String.ends_with ~suffix:(eig_chaos ()) (List.assoc "nested run" fresh));
+  List.iter
+    (fun _pass ->
+      List.iter
+        (fun (name, run) ->
+          check Alcotest.string name (List.assoc name fresh) (run ()))
+        (runs @ List.rev runs))
+    [ 1; 2 ]
+
 let () =
   Alcotest.run "sim"
     [
@@ -439,6 +547,8 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "deterministic given seed" `Quick test_determinism;
+          Alcotest.test_case "run-context reuse is invisible" `Quick
+            test_context_reuse_invisible;
           Alcotest.test_case "stall reported" `Quick test_stall_reported;
           Alcotest.test_case "max_rounds is a round budget" `Quick
             test_max_rounds_is_a_round_budget;
