@@ -60,3 +60,84 @@ let pp ppf t =
   Fmt.pf ppf "{%a}" (Fmt.list ~sep:(Fmt.any ", ") pair) (M.bindings t)
 
 let equal = M.equal Int.equal
+
+(* The mutable tally: distinct options in first-seen order, in parallel
+   int arrays grown on demand.  Ballots hold a handful of options, so a
+   linear probe finds an option faster than a map or a hash table, and
+   an [add] in steady state writes two ints. *)
+module Counter = struct
+  type t = {
+    mutable opts : int array;
+    mutable cnts : int array;
+    mutable len : int;
+    mutable sum : int;
+  }
+
+  let create () = { opts = [||]; cnts = [||]; len = 0; sum = 0 }
+
+  let clear t =
+    t.len <- 0;
+    t.sum <- 0
+
+  let add t opt =
+    let o = Option_id.to_int opt in
+    let j = ref 0 in
+    while !j < t.len && t.opts.(!j) <> o do
+      incr j
+    done;
+    let j = !j in
+    if j < t.len then t.cnts.(j) <- t.cnts.(j) + 1
+    else begin
+      if j = Array.length t.opts then begin
+        let cap = max 4 (2 * j) in
+        let opts = Array.make cap 0 and cnts = Array.make cap 0 in
+        Array.blit t.opts 0 opts 0 j;
+        Array.blit t.cnts 0 cnts 0 j;
+        t.opts <- opts;
+        t.cnts <- cnts
+      end;
+      t.opts.(j) <- o;
+      t.cnts.(j) <- 1;
+      t.len <- j + 1
+    end;
+    t.sum <- t.sum + 1
+
+  let total t = t.sum
+
+  (* Whether slot [i] ranks before slot [j] under the tie rule. *)
+  let before tie t i j =
+    Tie_break.compare_counts tie
+      (Option_id.of_int t.opts.(i))
+      t.cnts.(i)
+      (Option_id.of_int t.opts.(j))
+      t.cnts.(j)
+    < 0
+
+  (* One scan keeping the best two slots: the ranking is a total order,
+     so this picks [ranked]'s first two entries. *)
+  let top ~tie t =
+    if t.len = 0 then None
+    else begin
+      let a = ref 0 and b = ref (-1) in
+      for j = 1 to t.len - 1 do
+        if before tie t j !a then begin
+          b := !a;
+          a := j
+        end
+        else if !b < 0 || before tie t j !b then b := j
+      done;
+      let a_count = t.cnts.(!a) in
+      let b, b_count =
+        if !b < 0 then (None, 0)
+        else (Some (Option_id.of_int t.opts.(!b)), t.cnts.(!b))
+      in
+      Some
+        {
+          a = Option_id.of_int t.opts.(!a);
+          a_count;
+          b;
+          b_count;
+          c_count = t.sum - a_count - b_count;
+        }
+    end
+end

@@ -51,3 +51,19 @@ val gap : tie:Tie_break.t -> t -> int option
 
 val pp : t Fmt.t
 val equal : t -> t -> bool
+
+(** A mutable tally, for protocol state that counts votes as they
+    arrive.  It starts empty and grows to the number of distinct
+    options; an [add] allocates nothing once that capacity is reached. *)
+module Counter : sig
+  type t
+
+  val create : unit -> t
+  val clear : t -> unit
+  val add : t -> Option_id.t -> unit
+  val total : t -> int
+
+  val top : tie:Tie_break.t -> t -> top option
+  (** Equal to [Tally.top ~tie] of the same votes, in one scan; its [a]
+      and [a_count] are the head of {!ranked}. *)
+end

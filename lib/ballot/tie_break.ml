@@ -25,12 +25,14 @@ let wins t x y =
    through the explicit monomorphic comparators — never polymorphic
    [compare], which would silently change meaning if either type stopped
    being a bare int. *)
-let compare_ranked t (x, cx) (y, cy) =
+let compare_counts t x cx y cy =
   let by_count = Int.compare cy cx in
   if by_count <> 0 then by_count
   else if Option_id.equal x y then 0
   else if wins t x y then -1
   else 1
+
+let compare_ranked t (x, cx) (y, cy) = compare_counts t x cx y cy
 
 let pp ppf = function
   | Prefer_larger -> Fmt.string ppf "prefer-larger"

@@ -21,4 +21,8 @@ val compare_ranked : t -> Option_id.t * int -> Option_id.t * int -> int
 (** Orders (option, count) pairs from winner to loser: by descending count,
     ties resolved by the rule. *)
 
+val compare_counts : t -> Option_id.t -> int -> Option_id.t -> int -> int
+(** [compare_counts t x cx y cy] is [compare_ranked t (x, cx) (y, cy)]
+    without building the pairs. *)
+
 val pp : t Fmt.t

@@ -12,7 +12,12 @@
    n > 3t use Eig; for arbitrary t with authentication use Dolev_strong.
    Validity: if the sender is honest every honest node starts with its
    value and keeps it through every phase; agreement: at least one of the
-   t+1 kings is honest, and its phase aligns all honest values. *)
+   t+1 kings is honest, and its phase aligns all honest values.
+
+   A round allocates nothing but its sends: the state is mutated in place
+   (callers use the returned state, as with every sub-machine), and the
+   Val count of round A runs in one scratch buffer per domain rather than
+   per node or per call. *)
 
 open Vv_sim
 
@@ -28,9 +33,9 @@ let equal_msg a b =
 
 type state = {
   sender : Types.node_id;
-  current : int;
-  maj : int;
-  mult : int;
+  mutable current : int;
+  mutable maj : int;
+  mutable mult : int;
 }
 
 let rounds ~n:_ ~t = (2 * (t + 1)) + 1
@@ -48,19 +53,29 @@ let start ~n:_ ~t:_ ~me ~sender ~value ~outbox =
   | Some _ -> invalid_arg "Phase_king.start: value supplied at non-sender"
   | None -> invalid_arg "Phase_king.start: sender has no value"
 
-(* Plurality of an association list value -> count; ties to the smaller
-   value so all honest nodes break ties identically. *)
-(* Highest count wins, ties to the smaller value — a strict total order
-   on (count, value), so the scan order cannot matter. *)
-let plurality ~vals ~cnts ~distinct =
-  let bv = ref Bb_intf.bottom and bc = ref 0 in
-  for j = 0 to distinct - 1 do
-    if cnts.(j) > !bc || (cnts.(j) = !bc && vals.(j) < !bv) then begin
-      bv := vals.(j);
-      bc := cnts.(j)
-    end
-  done;
-  (!bv, !bc)
+(* Round A's Val-count scratch, one per domain, grown to the largest n
+   seen: [seen] marks senders already counted, [vals]/[cnts] the
+   distinct values and their counts.  A step uses it only within the
+   call, so nodes and runs on one domain share it safely. *)
+type scratch = {
+  mutable seen : Bytes.t;
+  mutable vals : int array;
+  mutable cnts : int array;
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      { seen = Bytes.empty; vals = [||]; cnts = [||] })
+
+let scratch n =
+  let s = Domain.DLS.get scratch_key in
+  if Array.length s.vals < n then begin
+    s.seen <- Bytes.create n;
+    s.vals <- Array.make n 0;
+    s.cnts <- Array.make n 0
+  end;
+  Bytes.fill s.seen 0 n '\000';
+  s
 
 let step ~n ~t ~me st ~lround ~inbox ~outbox =
   (* Local round layout: 1 = receive sender value, send Val(0);
@@ -77,22 +92,22 @@ let step ~n ~t ~me st ~lround ~inbox ~outbox =
     done;
     let v = !v in
     Outbox.broadcast outbox (Val { phase = 0; value = v });
-    { st with current = v }
+    st.current <- v;
+    st
   end
   else if lround mod 2 = 0 then begin
     let k = (lround - 2) / 2 in
     (* One Val per sender per phase (first message wins), counted into
        flat arrays — at most n distinct values, so the linear probe beats
        a pair of hash tables at every simulated size. *)
-    let seen = Array.make n false in
-    let vals = Array.make n 0 and cnts = Array.make n 0 in
+    let { seen; vals; cnts } = scratch n in
     let distinct = ref 0 in
     for i = 0 to inbox.Bb_intf.len - 1 do
       match inbox.Bb_intf.msgs.(i) with
       | Val { phase; value } when phase = k -> (
           let src = inbox.Bb_intf.srcs.(i) in
-          if not seen.(src) then begin
-            seen.(src) <- true;
+          if Bytes.get seen src = '\000' then begin
+            Bytes.set seen src '\001';
             let j = ref 0 in
             while !j < !distinct && vals.(!j) <> value do
               incr j
@@ -106,32 +121,43 @@ let step ~n ~t ~me st ~lround ~inbox ~outbox =
           end)
       | Val _ | King _ -> ()
     done;
-    let maj, mult = plurality ~vals ~cnts ~distinct:!distinct in
-    let st = { st with maj; mult } in
+    (* Plurality: highest count wins, ties to the smaller value — a
+       strict total order on (count, value), so the scan order cannot
+       matter and all honest nodes break ties identically. *)
+    st.maj <- Bb_intf.bottom;
+    st.mult <- 0;
+    for j = 0 to !distinct - 1 do
+      if cnts.(j) > st.mult || (cnts.(j) = st.mult && vals.(j) < st.maj)
+      then begin
+        st.maj <- vals.(j);
+        st.mult <- cnts.(j)
+      end
+    done;
     if me = king_of ~n k then
-      Outbox.broadcast outbox (King { phase = k; value = maj });
+      Outbox.broadcast outbox (King { phase = k; value = st.maj });
     st
   end
   else begin
     let k = (lround - 3) / 2 in
     let king = king_of ~n k in
-    let king_value = ref None in
+    (* The king's first message of the phase, if any. *)
+    let heard = ref false and king_value = ref 0 in
     for i = 0 to inbox.Bb_intf.len - 1 do
       match inbox.Bb_intf.msgs.(i) with
       | King { phase; value }
-        when phase = k && inbox.Bb_intf.srcs.(i) = king && !king_value = None
-        ->
-          king_value := Some value
+        when phase = k && inbox.Bb_intf.srcs.(i) = king && not !heard ->
+          heard := true;
+          king_value := value
       | King _ | Val _ -> ()
     done;
-    let king_value = !king_value in
     (* Keep maj on strong multiplicity, else follow the king (a silent
        Byzantine king leaves the current value unchanged). *)
     let v =
       if 2 * st.mult > n + (2 * t) then st.maj
-      else match king_value with Some kv -> kv | None -> st.current
+      else if !heard then !king_value
+      else st.current
     in
-    let st = { st with current = v } in
+    st.current <- v;
     if k < t then Outbox.broadcast outbox (Val { phase = k + 1; value = v });
     st
   end

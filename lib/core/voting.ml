@@ -72,10 +72,11 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
          flags — so rounds without relevant arrivals skip the propose and
          decide evaluations entirely instead of re-folding the tables.
          This is what makes stalled executions (which burn the whole
-         round budget) cheap. *)
-      mutable vote_tally : Tally.t;
+         round budget) cheap.  Mutable counters: counting a vote writes
+         two ints. *)
+      vote_tally : Tally.Counter.t;
       mutable votes_dirty : bool;
-      mutable prop_tally : Tally.t;
+      prop_tally : Tally.Counter.t;
       mutable prop_dirty : bool;
       mutable vote_deadline : int option;
       mutable propose_done : bool;
@@ -130,27 +131,26 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
         subject = None;
         votes = Array.make (2 * ctx.n) no_choice;
         proposes = Array.make (2 * ctx.n) no_choice;
-        vote_tally = Tally.empty;
+        vote_tally = Tally.Counter.create ();
         votes_dirty = false;
-        prop_tally = Tally.empty;
+        prop_tally = Tally.Counter.create ();
         prop_dirty = false;
         vote_deadline = None;
         propose_done = false;
         decided = None;
       }
 
-    (* Tally of the first votes per sender matching subject [s] — the
-       from-scratch fold, used once when the subject becomes known (to
-       cover messages that arrived early); thereafter the cached tallies
-       are maintained incrementally at ingest. *)
-    let tally_for table s =
-      let acc = ref Tally.empty in
+    (* Count into [counter] the first votes per sender matching subject
+       [s] — the from-scratch fold, used once when the subject becomes
+       known (to cover messages that arrived early); thereafter the
+       counters are maintained incrementally at ingest. *)
+    let tally_for counter table s =
+      Tally.Counter.clear counter;
       for src = 0 to (Array.length table / 2) - 1 do
         let choice = table.((2 * src) + 1) in
         if choice <> no_choice && table.(2 * src) = s then
-          acc := Tally.add !acc (Oid.of_int choice)
-      done;
-      !acc
+          Tally.Counter.add counter (Oid.of_int choice)
+      done
 
     let step (ctx : Protocol.ctx) st ~round ~inbox ~outbox =
       (* Ingest — an indexed loop rather than [Inbox.iter] so a quiet
@@ -166,7 +166,7 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
             if first_per_sender st.votes src subject choice then begin
               match st.subject with
               | Some s when subject = s ->
-                  st.vote_tally <- Tally.add st.vote_tally choice;
+                  Tally.Counter.add st.vote_tally choice;
                   st.votes_dirty <- true
               | Some _ | None -> ()
             end
@@ -174,7 +174,7 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
             if first_per_sender st.proposes src subject choice then begin
               match st.subject with
               | Some s when subject = s ->
-                  st.prop_tally <- Tally.add st.prop_tally choice;
+                  Tally.Counter.add st.prop_tally choice;
                   st.prop_dirty <- true
               | Some _ | None -> ()
             end
@@ -199,8 +199,8 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
             if s >= 0 then begin
               (* Seed the cached tallies from everything that arrived before
                  the subject was known. *)
-              st.vote_tally <- tally_for st.votes s;
-              st.prop_tally <- tally_for st.proposes s;
+              tally_for st.vote_tally st.votes s;
+              tally_for st.prop_tally st.proposes s;
               st.votes_dirty <- true;
               st.prop_dirty <- true;
               (* Phase 2: a valid subject triggers the vote (Line 7-9). *)
@@ -230,13 +230,13 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
           | Variant.After_wait ->
               if
                 (not deadline_armed)
-                && Tally.total ballot >= tolerance + 1
+                && Tally.Counter.total ballot >= tolerance + 1
               then st.vote_deadline <- Some (round + (2 * st.delta));
               (match st.vote_deadline with
               | Some d when round >= d -> begin
                   st.propose_done <- true;
                   let dp = Variant.delta_p st.variant ~tolerance in
-                  match Tally.top ~tie ballot with
+                  match Tally.Counter.top ~tie ballot with
                   | Some { Tally.a; a_count; b_count; _ }
                     when a_count - b_count > dp ->
                       Outbox.broadcast outbox
@@ -247,9 +247,10 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
           | Variant.Incremental ->
               (* Inequality (14) depends only on the ballot: re-evaluate
                  only when a relevant vote arrived. *)
-              if st.votes_dirty && Tally.total ballot >= tolerance + 1 then begin
+              if st.votes_dirty && Tally.Counter.total ballot >= tolerance + 1
+              then begin
                 let dp = Variant.delta_p st.variant ~tolerance in
-                match Tally.top ~tie ballot with
+                match Tally.Counter.top ~tie ballot with
                 | Some { Tally.a; a_count; c_count; _ }
                   when Bounds.incremental_ready ~n:ctx.n ~delta_p:dp
                          ~a_i:a_count ~c_i:c_count ->
@@ -269,9 +270,10 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
           ignore s;
           st.prop_dirty <- false;
           let quorum = Variant.quorum_size st.variant ~n:ctx.n ~tolerance in
-          match Tally.ranked ~tie:st.variant.Variant.tie st.prop_tally with
-          | (choice, c) :: _ when c >= quorum -> st.decided <- Some choice
-          | _ -> ()
+          match Tally.Counter.top ~tie:st.variant.Variant.tie st.prop_tally with
+          | Some { Tally.a; a_count; _ } when a_count >= quorum ->
+              st.decided <- Some a
+          | Some _ | None -> ()
         end
       | Some _ | None -> ());
       st

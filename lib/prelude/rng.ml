@@ -1,25 +1,33 @@
 (* Splitmix64: a small, fast, high-quality deterministic PRNG.  We avoid
    [Stdlib.Random] so that every simulation in this repository is
-   reproducible bit-for-bit across OCaml versions and runs. *)
+   reproducible bit-for-bit across OCaml versions and runs.
 
-type t = { mutable state : int64 }
+   The 64-bit state lives unboxed in 8 bytes, read and written with
+   [Bytes.get_int64_ne]/[set_int64_ne], so a draw allocates nothing: an
+   [int64] record field would be boxed afresh on every step. *)
 
-let create seed = { state = Int64.of_int seed }
+type t = Bytes.t
 
-let copy t = { state = t.state }
+let[@inline] of_state z =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 z;
+  t
+
+let create seed = of_state (Int64.of_int seed)
+
+let copy = Bytes.copy
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let[@inline] next_int64 t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t =
-  (* Derive an independent stream: a fresh generator seeded from this one. *)
-  { state = next_int64 t }
+(* Derive an independent stream: a fresh generator seeded from this one. *)
+let split t = of_state (next_int64 t)
 
 let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
 
@@ -35,12 +43,11 @@ let derive seed i = bits (create (bits (create seed) lxor i))
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection sampling to avoid modulo bias. *)
-  let rec go () =
-    let r = bits t in
-    let v = r mod bound in
-    if r - v + (bound - 1) < 0 then go () else v
-  in
-  go ()
+  let r = ref (bits t) in
+  while !r - (!r mod bound) + (bound - 1) < 0 do
+    r := bits t
+  done;
+  !r mod bound
 
 let float t =
   (* 53 random bits mapped to [0, 1). *)

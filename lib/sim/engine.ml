@@ -28,26 +28,40 @@
    nothing from the chaos RNG — runs are byte-identical to the
    pre-substrate engine.
 
-   Representation: a delivery in flight is not a record but an immediate
-   meta word ([src lsl 20 lor dst]; the retry queue adds the attempt
-   count in higher bits) alongside an untyped message slot, both living
-   in growable buffers.  Future rounds are scheduled into a round-indexed
-   circular bucket array (power-of-two capacity, slot = round land
-   (cap - 1), grown on collision); a bucket borrows a cleared buffer from
-   its scheduler's free list while its round is live.  All of a run's
-   buffers — both schedulers, the delivery arena with its counting-sort
-   [counts] and inbox offsets/lengths, the honest send buffer, the
-   inbox view, the outbox, the per-node state and phase columns and the
-   trace builder — belong to a [context] that is reset on entry to
-   [run_exn], not rebuilt: one per domain (in [Domain.DLS]), untyped so
-   every [Make] instance shares it.  Release clears every message and
-   state slot so a finished run's payloads are unreachable, and a run
-   started while its domain's context is busy (nested inside an
-   adversary's [act]) gets a fresh one.  Together with the
-   outbox/inbox-view protocol API this makes the steady-state round
-   allocate almost nothing and per-run set-up cheap — both budgets are
-   pinned by test_perf.ml, and every campaign golden is byte-identical
-   to the list-based engine's output.
+   Representation: a delivery in flight is two immediate ints, a meta
+   word ([src lsl 20 lor dst]; the retry queue adds the attempt count in
+   higher bits) and the index of its message in a payload table.  The
+   engine writes a message into the table once per send — once per
+   outbox entry, once per adversary plan — and pushes (meta, index) per
+   recipient, so every buffer a delivery passes through is int-only:
+   both schedulers' buckets, the honest send buffer and the delivery
+   arena.  Future rounds are scheduled into a round-indexed circular
+   bucket array (power-of-two capacity, slot = round land (cap - 1),
+   grown on collision); a bucket borrows a cleared buffer from its
+   scheduler's free list while its round is live.
+
+   The flip: the context holds two payload tables.  After step 2, if
+   nothing is scheduled and nothing is queued for retry, only this
+   round's arena refers to the current table; the arena keeps reading
+   it, and new sends go to the twin, cleared first (nothing refers to it
+   any more).  Synchronous runs flip every round, so a table holds about
+   two rounds of sends; when deliveries stay in flight across rounds
+   (Uniform delays, retransmission) the table grows until the run ends.
+
+   All of a run's buffers — both schedulers, both payload tables, the
+   delivery arena with its counting-sort [counts] and inbox
+   offsets/lengths, the honest send buffer, the inbox view, the outbox,
+   the per-node state and phase columns and the trace builder — belong
+   to a [context] that is reset on entry to [run_exn], not rebuilt: one
+   per domain (in [Domain.DLS]), untyped so every [Make] instance
+   shares it.  Release clears both payload tables and every state slot
+   so a finished run's payloads are unreachable, and a run started
+   while its domain's context is busy (nested inside an adversary's
+   [act]) gets a fresh one.  Together with the outbox/inbox-view
+   protocol API this makes the steady-state round allocate almost
+   nothing and per-run set-up cheap — both budgets are pinned by
+   test_perf.ml, and every campaign golden is byte-identical to the
+   list-based engine's output.
 
    Determinism contract (pinned by the goldens): the delay RNG is drawn
    once per routed delivery in routing order — retransmissions first (in
@@ -86,7 +100,7 @@ let log_src = Logs.Src.create "vv.engine" ~doc:"simulation engine rounds"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* --- packed deliveries and untyped buffers (engine-internal) --- *)
+(* --- packed deliveries, int-only buffers, payload tables (engine-internal) --- *)
 
 (* Meta word layout: [attempt lsl 40 | src lsl 20 | dst].  20 bits per id
    bounds n at ~10^6 nodes, far beyond simulation sizes; attempts are
@@ -99,36 +113,56 @@ let attempt_shift = 2 * dst_bits
 
 let dummy = Obj.repr ()
 
-(* A growable pair of parallel arrays: one immediate meta word and one
-   untyped message per entry.  Cleared and refilled every round without
-   re-allocation. *)
+(* A growable pair of parallel int arrays: one meta word and one payload
+   index per delivery.  Holding no pointers, it is written without a
+   write barrier and cleared by resetting its length. *)
 type buf = {
   mutable meta : int array;
-  mutable bmsgs : Obj.t array;
+  mutable pay : int array;
   mutable blen : int;
 }
 
-let buf_make () = { meta = [||]; bmsgs = [||]; blen = 0 }
+let buf_make () = { meta = [||]; pay = [||]; blen = 0 }
 
 let buf_grow b =
   let cap = Array.length b.meta in
   let ncap = if cap = 0 then 8 else 2 * cap in
-  let meta = Array.make ncap 0 and msgs = Array.make ncap dummy in
+  let meta = Array.make ncap 0 and pay = Array.make ncap 0 in
   Array.blit b.meta 0 meta 0 b.blen;
-  Array.blit b.bmsgs 0 msgs 0 b.blen;
+  Array.blit b.pay 0 pay 0 b.blen;
   b.meta <- meta;
-  b.bmsgs <- msgs
+  b.pay <- pay
 
-let buf_push b m msg =
+let buf_push b m p =
   if b.blen = Array.length b.meta then buf_grow b;
   b.meta.(b.blen) <- m;
-  b.bmsgs.(b.blen) <- msg;
+  b.pay.(b.blen) <- p;
   b.blen <- b.blen + 1
 
-let buf_clear b =
-  (* Drop message references so finished rounds do not pin payloads. *)
-  Array.fill b.bmsgs 0 b.blen dummy;
-  b.blen <- 0
+let buf_clear b = b.blen <- 0
+
+(* A payload table: every message a run sends is written here once per
+   send (an outbox entry or an adversary plan), and each of its
+   deliveries carries the index.  Append-only between clears. *)
+type table = { mutable slots : Obj.t array; mutable tlen : int }
+
+let table_make () = { slots = [||]; tlen = 0 }
+
+let intern tb msg =
+  let i = tb.tlen in
+  if i = Array.length tb.slots then begin
+    let slots = Array.make (max 16 (2 * i)) dummy in
+    Array.blit tb.slots 0 slots 0 i;
+    tb.slots <- slots
+  end;
+  tb.slots.(i) <- msg;
+  tb.tlen <- i + 1;
+  i
+
+(* Drop every payload, so a cleared table pins nothing. *)
+let table_clear tb =
+  Array.fill tb.slots 0 tb.tlen dummy;
+  tb.tlen <- 0
 
 (* Round-indexed circular bucket scheduler: the replacement for the old
    Hashtbl-of-lists pending map.  Slot = round land (cap - 1); a live slot
@@ -222,8 +256,8 @@ module Sched = struct
       bucket_for t round
     end
 
-  let push t round meta msg =
-    buf_push (bucket_for t round).buf meta msg;
+  let push t round meta pay =
+    buf_push (bucket_for t round).buf meta pay;
     t.live <- t.live + 1
 
   (* Detach the buffer due at [round] ([no_buf], empty, when nothing is
@@ -255,8 +289,7 @@ module Sched = struct
       t.buckets;
     !acc
 
-  (* Release every live bucket: the scheduler is empty and holds no
-     payload afterwards. *)
+  (* Release every live bucket: the scheduler is empty afterwards. *)
   let reset t =
     Array.iter
       (fun b ->
@@ -269,7 +302,7 @@ module Sched = struct
 end
 
 (* The run context: every buffer a run needs, reset on entry instead of
-   rebuilt.  Storage is untyped ([Obj.t] messages and states), so one
+   rebuilt.  Storage is untyped ([Obj.t] payloads and states), so one
    context serves every [Make] instance; each domain keeps one, and a run
    started while the domain's context is busy (a run nested inside an
    adversary's [act], say) gets a fresh one. *)
@@ -277,9 +310,13 @@ type context = {
   mutable busy : bool;
   pending : Sched.t;  (* future deliveries *)
   retries : Sched.t;  (* retransmission timers *)
+  (* The payload tables: [sends] takes this round's messages, [twin] is
+     the one the flip swaps in (see the header). *)
+  mutable sends : table;
+  mutable twin : table;
   (* Delivery arena: the round's deliveries, grouped by recipient. *)
   mutable arena_srcs : int array;
-  mutable arena_msgs : Obj.t array;
+  mutable arena_pay : int array;
   mutable counts : int array;  (* counting-sort keys, n * n *)
   mutable inbox_off : int array;
   mutable inbox_len : int array;
@@ -297,8 +334,10 @@ let context_make () =
     busy = false;
     pending = Sched.create ();
     retries = Sched.create ();
+    sends = table_make ();
+    twin = table_make ();
     arena_srcs = [||];
-    arena_msgs = [||];
+    arena_pay = [||];
     counts = [||];
     inbox_off = [||];
     inbox_len = [||];
@@ -331,9 +370,10 @@ let acquire ~n =
 let release c =
   Sched.reset c.pending;
   Sched.reset c.retries;
-  Array.fill c.arena_msgs 0 (Array.length c.arena_msgs) dummy;
+  table_clear c.sends;
+  table_clear c.twin;
   buf_clear c.honest_buf;
-  Inbox.set_empty c.inbox;
+  Inbox.set_arena c.inbox ~srcs:[||] ~pays:[||] ~table:[||];
   Outbox.clear c.outbox;
   Array.fill c.states 0 (Array.length c.states) dummy;
   c.busy <- false
@@ -483,11 +523,11 @@ module Make (P : Protocol.S) = struct
     (* Future deliveries and retransmission timers, as packed circular
        bucket queues. *)
     let pending = c.pending and retries = c.retries in
-    let schedule ~arrival ~src ~dst msg =
+    let schedule ~arrival ~src ~dst pay =
       if arrival < max_rounds then
-        Sched.push pending arrival ((src lsl dst_bits) lor dst) msg
+        Sched.push pending arrival ((src lsl dst_bits) lor dst) pay
     in
-    let queue_retry ~round ~attempt ~src ~dst msg =
+    let queue_retry ~round ~attempt ~src ~dst pay =
       match retransmit with
       | Some policy when attempt < policy.Retransmit.max_attempts ->
           let next = attempt + 1 in
@@ -495,7 +535,7 @@ module Make (P : Protocol.S) = struct
           if at < max_rounds then
             Sched.push retries at
               ((next lsl attempt_shift) lor (src lsl dst_bits) lor dst)
-              msg
+              pay
       | Some _ | None -> ()
     in
     (* Per-round chaos accounting, reset each round. *)
@@ -517,18 +557,19 @@ module Make (P : Protocol.S) = struct
     (* [route] is the send->delivery path: chaos verdict, delay
        assignment, arrival-time cut check, retransmission queuing.  The
        non-chaos path is exactly the legacy delay assignment (and draws
-       nothing from the chaos stream). *)
-    let route ~round ~attempt ~src ~dst msg =
+       nothing from the chaos stream).  [pay] is the delivery's index in
+       the payload table. *)
+    let route ~round ~attempt ~src ~dst pay =
       if not chaos_active then
         let arrival = round + base_delay ~round ~src ~dst in
-        schedule ~arrival ~src ~dst msg
+        schedule ~arrival ~src ~dst pay
       else
         (* Packed verdict ([Network.transit_i]): no allocation per chaos
            delivery, identical draw order to the record form. *)
         let v = Network.transit_i network chaos_rng ~round ~src ~dst in
         if v = Network.dropped_i then begin
           incr dropped;
-          queue_retry ~round ~attempt ~src ~dst msg
+          queue_retry ~round ~attempt ~src ~dst pay
         end
         else begin
           let extra_delay = v lsr 1 in
@@ -539,9 +580,9 @@ module Make (P : Protocol.S) = struct
              at the receiver. *)
           if Network.cut network ~round:arrival ~src ~dst then begin
             incr dropped;
-            queue_retry ~round ~attempt ~src ~dst msg
+            queue_retry ~round ~attempt ~src ~dst pay
           end
-          else schedule ~arrival ~src ~dst msg;
+          else schedule ~arrival ~src ~dst pay;
           if v land 1 = 1 then begin
             incr duplicated;
             (* The duplicate gets its own delay draws and is never
@@ -551,51 +592,56 @@ module Make (P : Protocol.S) = struct
               round + clamp ~round (base_delay ~round ~src ~dst + extra)
             in
             if Network.cut network ~round:arrival ~src ~dst then incr dropped
-            else schedule ~arrival ~src ~dst msg
+            else schedule ~arrival ~src ~dst pay
           end
         end
     in
     (* Delivery arena: each round's bucket is counting-sorted by key
        [dst * n + src] (stable in scheduling order), reproducing the old
        per-recipient stable-sort-by-sender inbox order exactly; nodes
-       then read (offset, length) windows of the arena. *)
+       then read (offset, length) windows of the arena.  The arena holds
+       payload indices into [arena_tbl], the table its deliveries were
+       sent into. *)
     let counts = c.counts and inbox_off = c.inbox_off in
     let inbox_len = c.inbox_len in
     let have_inbox = ref false in
+    let arena_tbl = ref c.sends in
     let sort_into_arena (b : buf) =
       let len = b.blen in
       if Array.length c.arena_srcs < len then begin
         let cap = max len (2 * Array.length c.arena_srcs) in
         c.arena_srcs <- Array.make cap 0;
-        c.arena_msgs <- Array.make cap dummy
+        c.arena_pay <- Array.make cap 0
       end;
-      let arena_srcs = c.arena_srcs and arena_msgs = c.arena_msgs in
+      let arena_srcs = c.arena_srcs and arena_pay = c.arena_pay in
+      let meta = b.meta and pay = b.pay in
       Array.fill counts 0 (n * n) 0;
       for i = 0 to len - 1 do
-        let m = b.meta.(i) in
+        let m = meta.(i) in
         let key = ((m land id_mask) * n) + ((m lsr dst_bits) land id_mask) in
         counts.(key) <- counts.(key) + 1
       done;
+      (* Prefix sums, one destination row at a time. *)
       let cum = ref 0 in
-      for key = 0 to (n * n) - 1 do
-        if key mod n = 0 then inbox_off.(key / n) <- !cum;
-        let c = counts.(key) in
-        counts.(key) <- !cum;
-        cum := !cum + c
-      done;
       for d = 0 to n - 1 do
-        inbox_len.(d) <-
-          (if d = n - 1 then len else inbox_off.(d + 1)) - inbox_off.(d)
+        inbox_off.(d) <- !cum;
+        for key = d * n to (d * n) + n - 1 do
+          let k = counts.(key) in
+          counts.(key) <- !cum;
+          cum := !cum + k
+        done;
+        inbox_len.(d) <- !cum - inbox_off.(d)
       done;
       for i = 0 to len - 1 do
-        let m = b.meta.(i) in
+        let m = meta.(i) in
         let src = (m lsr dst_bits) land id_mask in
         let key = ((m land id_mask) * n) + src in
         let pos = counts.(key) in
         counts.(key) <- pos + 1;
         arena_srcs.(pos) <- src;
-        arena_msgs.(pos) <- b.bmsgs.(i)
-      done
+        arena_pay.(pos) <- pay.(i)
+      done;
+      arena_tbl := c.sends
     in
     (* This round's inbox of node [id], as the old assoc-list shape (for
        the adversary's view only — honest nodes read the window). *)
@@ -603,11 +649,13 @@ module Make (P : Protocol.S) = struct
       if not !have_inbox then []
       else begin
         let off = inbox_off.(id) in
+        let slots = !arena_tbl.slots in
         let rec go i acc =
           if i < off then acc
           else
             go (i - 1)
-              ((c.arena_srcs.(i), (Obj.obj c.arena_msgs.(i) : P.msg)) :: acc)
+              ((c.arena_srcs.(i), (Obj.obj slots.(c.arena_pay.(i)) : P.msg))
+              :: acc)
         in
         go (off + inbox_len.(id) - 1) []
       end
@@ -624,13 +672,14 @@ module Make (P : Protocol.S) = struct
       let olen = Outbox.length outbox in
       for i = 0 to olen - 1 do
         let dst = Outbox.dst outbox i in
-        let msg = Obj.repr (Outbox.msg outbox i) in
-        if dst = Outbox.broadcast_dst then
+        if dst = Outbox.broadcast_dst then begin
+          let pay = intern c.sends (Obj.repr (Outbox.msg outbox i)) in
           for j = 0 to Array.length reach - 1 do
             let d = reach.(j) in
             if Config.delivers cfg ~src ~round ~dst:d then
-              buf_push honest_buf ((src lsl dst_bits) lor d) msg
+              buf_push honest_buf ((src lsl dst_bits) lor d) pay
           done
+        end
         else begin
           (* Honest nodes under local broadcast may only broadcast. *)
           (match cfg.Config.comm with
@@ -652,7 +701,9 @@ module Make (P : Protocol.S) = struct
             invalid_arg
               (Fmt.str "%s: node %d unicast to non-neighbour %d" P.name src dst);
           if Config.delivers cfg ~src ~round ~dst then
-            buf_push honest_buf ((src lsl dst_bits) lor dst) msg
+            buf_push honest_buf
+              ((src lsl dst_bits) lor dst)
+              (intern c.sends (Obj.repr (Outbox.msg outbox i)))
         end
       done
     in
@@ -666,7 +717,8 @@ module Make (P : Protocol.S) = struct
         sent_len = 0;
         sent_src = (fun i -> (honest_buf.meta.(i) lsr dst_bits) land id_mask);
         sent_dst = (fun i -> honest_buf.meta.(i) land id_mask);
-        sent_msg = (fun i -> (Obj.obj honest_buf.bmsgs.(i) : P.msg));
+        sent_msg =
+          (fun i -> (Obj.obj c.sends.slots.(honest_buf.pay.(i)) : P.msg));
         byz_inbox = segment_list;
         in_flight =
           (fun () ->
@@ -691,7 +743,9 @@ module Make (P : Protocol.S) = struct
          have_inbox := b.blen > 0;
          if !have_inbox then begin
            sort_into_arena b;
-           Sched.release pending b
+           Sched.release pending b;
+           Inbox.set_arena inbox ~srcs:c.arena_srcs ~pays:c.arena_pay
+             ~table:!arena_tbl.slots
          end;
          (* 2. fire retransmission timers due this round, in queue order.
             [take] detached the buffer from its bucket, so retries this
@@ -703,16 +757,26 @@ module Make (P : Protocol.S) = struct
            route ~round
              ~attempt:(m lsr attempt_shift)
              ~src:((m lsr dst_bits) land id_mask)
-             ~dst:(m land id_mask) b.bmsgs.(i)
+             ~dst:(m land id_mask) b.pay.(i)
          done;
          Sched.release retries b;
+         (* The flip: with nothing scheduled or queued, no delivery but
+            this round's arena refers to the send table, so the arena
+            keeps reading it while new sends go to the cleared twin.
+            Nothing refers to the twin: its last readers were earlier
+            rounds' arenas. *)
+         if Sched.is_empty pending && Sched.is_empty retries then begin
+           let old = c.sends in
+           c.sends <- c.twin;
+           c.twin <- old;
+           table_clear c.sends
+         end;
          buf_clear honest_buf;
          (* 3. step honest and not-yet-crashed nodes in id order. *)
          for id = 0 to n - 1 do
            if round <= step_until.(id) then begin
              if !have_inbox then
-               Inbox.set_view inbox ~srcs:c.arena_srcs ~msgs:c.arena_msgs
-                 ~off:inbox_off.(id) ~len:inbox_len.(id)
+               Inbox.set_view inbox ~off:inbox_off.(id) ~len:inbox_len.(id)
              else Inbox.set_empty inbox;
              Outbox.clear outbox;
              let state' =
@@ -755,13 +819,13 @@ module Make (P : Protocol.S) = struct
          List.iter
            (fun (p : P.msg Adversary.delivery_plan) ->
              route ~round ~attempt:0 ~src:p.Adversary.src ~dst:p.Adversary.dst
-               (Obj.repr p.Adversary.msg))
+               (intern c.sends (Obj.repr p.Adversary.msg)))
            plans;
          for i = 0 to honest_buf.blen - 1 do
            let m = honest_buf.meta.(i) in
            route ~round ~attempt:0
              ~src:((m lsr dst_bits) land id_mask)
-             ~dst:(m land id_mask) honest_buf.bmsgs.(i)
+             ~dst:(m land id_mask) honest_buf.pay.(i)
          done;
          Trace.record_round tb ~honest_sent:honest_buf.blen
            ~byz_sent:(List.length plans) ~dropped:!dropped

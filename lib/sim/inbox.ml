@@ -5,10 +5,12 @@
    recipient, sorted by sender id, stable in scheduling order — the
    same deterministic order the old assoc-list inboxes had) and hands
    every node a *view*: an (offset, length) window over the arena's
-   parallel source/message arrays.  One view value is reused for all
-   nodes of all rounds, so reading an inbox allocates nothing.
+   parallel sender/payload-index arrays.  A payload index points into
+   the engine's payload table, where each message is stored once per
+   send however many recipients it has.  One view value is reused for
+   all nodes of all rounds, so reading an inbox allocates nothing.
 
-   Like {!Outbox.t}, the message array is untyped [Obj.t] storage; the
+   Like {!Outbox.t}, the payload table is untyped [Obj.t] storage; the
    phantom parameter guarantees reader and writer agree on 'msg.  Views
    are transient: they are only valid for the duration of the
    [Protocol.S.step] call they are passed to, and protocols must copy
@@ -16,16 +18,21 @@
 
 type 'msg t = {
   mutable srcs : int array;  (* arena: sender ids *)
-  mutable msgs : Obj.t array;  (* arena: messages, parallel to [srcs] *)
+  mutable pays : int array;  (* arena: payload indices, parallel to [srcs] *)
+  mutable table : Obj.t array;  (* payloads, indexed by [pays] *)
   mutable off : int;
   mutable len : int;
 }
 
-let create () = { srcs = [||]; msgs = [||]; off = 0; len = 0 }
+let create () = { srcs = [||]; pays = [||]; table = [||]; off = 0; len = 0 }
 
-let set_view t ~srcs ~msgs ~off ~len =
+let set_arena t ~srcs ~pays ~table =
   t.srcs <- srcs;
-  t.msgs <- msgs;
+  t.pays <- pays;
+  t.table <- table;
+  t.len <- 0
+
+let set_view t ~off ~len =
   t.off <- off;
   t.len <- len
 
@@ -35,7 +42,7 @@ let length t = t.len
 let is_empty t = t.len = 0
 
 let src t i = t.srcs.(t.off + i)
-let msg (t : 'msg t) i : 'msg = Obj.obj t.msgs.(t.off + i)
+let msg (t : 'msg t) i : 'msg = Obj.obj t.table.(t.pays.(t.off + i))
 
 let iter f t =
   for i = 0 to t.len - 1 do

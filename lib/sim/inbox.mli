@@ -1,7 +1,8 @@
 (** Read-only inbox view — the receive half of the protocol message API.
 
     A {!Protocol.S} step receives its round's arrivals as an indexed
-    window over the engine's per-round delivery arena.  Entries appear
+    window over the engine's per-round delivery arena, whose entries
+    index a payload table holding each message once per send.  Entries appear
     in the engine's deterministic inbox order: sorted by sender id,
     ties in scheduling order (exactly the order the old assoc-list
     inboxes had).  Reading a view allocates nothing.
@@ -42,10 +43,14 @@ val rev_append_to :
 val create : unit -> 'msg t
 (** An empty view (no arena attached). *)
 
-val set_view :
-  'msg t -> srcs:int array -> msgs:Obj.t array -> off:int -> len:int -> unit
-(** Point the view at a window of the delivery arena.  The [msgs] array
-    must hold values of type ['msg] (written via [Obj.repr]) at indices
-    [off .. off+len-1]. *)
+val set_arena :
+  'msg t -> srcs:int array -> pays:int array -> table:Obj.t array -> unit
+(** Attach the round's delivery arena: parallel sender and payload-index
+    arrays, and the payload table the indices point into, which must
+    hold values of type ['msg] (written via [Obj.repr]).  The view is
+    empty until {!set_view}. *)
+
+val set_view : 'msg t -> off:int -> len:int -> unit
+(** Point the view at the arena window [off .. off+len-1]. *)
 
 val set_empty : 'msg t -> unit

@@ -541,6 +541,72 @@ let test_property_registry () =
     Property.all;
   check_bool "unknown name" true (Property.of_name "nope" = None)
 
+(* The mutable counter the protocols count votes with must rank exactly
+   like the persistent tally: the same top decomposition and the same
+   winner as [ranked]'s head, under every tie rule.  Vote multisets of
+   0-64 votes over up to 8 options, in three shapes: random, a single
+   option, and every option tied.  The counter is filled once, cleared,
+   and filled again, so [clear] is covered too. *)
+let tie_rules =
+  [|
+    Tie_break.Prefer_larger;
+    Tie_break.Prefer_smaller;
+    (* A total order unrelated to option order: 0 7 6 ... by (3x + 5) mod 8. *)
+    Tie_break.Custom
+      (fun x y ->
+        let rank v = ((3 * Option_id.to_int v) + 5) mod 8 in
+        Int.compare (rank x) (rank y));
+  |]
+
+let gen_counter_case =
+  QCheck.Gen.(
+    int_range 0 2 >>= fun rule ->
+    int_range 1 8 >>= fun options ->
+    int_range 0 2 >>= fun shape ->
+    (match shape with
+    | 0 -> list_size (int_range 0 64) (int_range 0 (options - 1))
+    | 1 -> int_range 0 (options - 1) >>= fun v ->
+           int_range 0 64 >|= fun k -> List.init k (fun _ -> v)
+    | _ -> int_range 0 8 >|= fun k ->
+           List.concat (List.init k (fun _ -> List.init options Fun.id)))
+    >>= fun votes ->
+    shuffle_l votes >|= fun votes -> (rule, votes))
+
+let prop_counter_matches_tally =
+  QCheck.Test.make ~count:500 ~name:"Tally.Counter.top = Tally.top"
+    (QCheck.make
+       ~print:(fun (rule, votes) ->
+         Fmt.str "rule=%d votes=%a" rule Fmt.(Dump.list int) votes)
+       gen_counter_case)
+    (fun (rule, votes) ->
+      let tie = tie_rules.(rule) in
+      let votes = List.map o votes in
+      let tally = Tally.of_list votes in
+      let counter = Tally.Counter.create () in
+      List.iter (Tally.Counter.add counter) (List.map o [ 3; 1; 3 ]);
+      Tally.Counter.clear counter;
+      List.iter (Tally.Counter.add counter) votes;
+      let expected = Tally.top ~tie tally in
+      let got = Tally.Counter.top ~tie counter in
+      let same_top =
+        match (expected, got) with
+        | None, None -> true
+        | Some e, Some g ->
+            Option_id.equal e.Tally.a g.Tally.a
+            && e.a_count = g.a_count
+            && Option.equal Option_id.equal e.b g.b
+            && e.b_count = g.b_count && e.c_count = g.c_count
+        | Some _, None | None, Some _ -> false
+      in
+      let same_head =
+        match (Tally.ranked ~tie tally, got) with
+        | [], None -> true
+        | (a, c) :: _, Some g -> Option_id.equal a g.Tally.a && c = g.a_count
+        | _ :: _, None | [], Some _ -> false
+      in
+      same_top && same_head
+      && Tally.Counter.total counter = Tally.total tally)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -560,6 +626,7 @@ let qcheck_cases =
       prop_hierarchy_sound;
       prop_required_output_admissible;
       prop_judge_characterised;
+      prop_counter_matches_tally;
     ]
 
 let () =

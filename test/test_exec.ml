@@ -215,6 +215,25 @@ let test_jobs_invariance () =
               batch_spec)))
     [ (1, 5); (2, 64); (2, 7); (4, 64); (4, 1); (4, 13) ]
 
+(* The same promise at Figure 1's size, n = 64 over Phase-King: every
+   domain keeps its own engine context and Phase-King count scratch, so
+   a summary must not depend on how trials are spread over domains. *)
+let test_jobs_invariance_n64 () =
+  let spec =
+    Runner.simple_spec ~protocol:Runner.Algo1 ~bb:Vv_bb.Bb.Phase_king
+      ~strategy:Strategy.Collude_second ~t:21 ~f:21
+      (List.init 43 (fun i -> Oid.of_int (if i < 30 then 0 else i mod 3)))
+  in
+  (* One trial per chunk, so jobs=3 really spreads them over domains. *)
+  let summary jobs =
+    Executor.run_trials ~jobs ~chunk_size:1 ~trials:6 ~seed:0x64 spec
+  in
+  let reference = summary 1 in
+  check_int "every trial ran" 6 reference.Summary.total;
+  check Alcotest.string "phase-king n=64, jobs=3 equals jobs=1"
+    (summary_bytes reference)
+    (summary_bytes (summary 3))
+
 let prop_jobs_and_chunks_invariant =
   QCheck.Test.make ~count:12
     ~name:"run_trials byte-identical across jobs and chunk_size"
@@ -495,6 +514,8 @@ let () =
         [
           Alcotest.test_case "jobs invariance (byte-identical)" `Quick
             test_jobs_invariance;
+          Alcotest.test_case "jobs invariance at n=64 (phase-king)" `Quick
+            test_jobs_invariance_n64;
           QCheck_alcotest.to_alcotest prop_jobs_and_chunks_invariant;
           Alcotest.test_case "stateful generator across jobs" `Quick
             test_jobs_invariance_stateful_generator;

@@ -4,8 +4,9 @@
    over the per-round delivery arena, int-packed scheduling) promises that
    a steady-state round allocates a bounded, small number of minor-heap
    words regardless of traffic: buffers are warm after the first few
-   rounds, deliveries are packed ints, and the per-round cost reduces to
-   the trace record plus whatever the protocol itself allocates.
+   rounds, deliveries are packed ints (a meta word and a payload index),
+   RNG draws are unboxed, and the per-round cost reduces to the trace
+   record plus whatever the protocol itself allocates.
 
    [Gc.minor_words] is deterministic for a fixed code path, unlike
    wall-clock on a noisy host, so these tests pin the budget exactly: the
@@ -58,12 +59,11 @@ let minor_words_of_run ~max_rounds =
   int_of_float (w1 -. w0)
 
 (* The steady-state budget: the marginal allocation of one additional
-   round of 16 broadcast deliveries.  Measured at 3 words (the round's
-   slots in the trace's packed counters); 64 leaves slack for
-   representation changes
-   while still catching any per-delivery or per-view regression (16
-   deliveries at even 3 boxed words each would add ~48). *)
-let words_per_round_budget = 64
+   round of 16 broadcast deliveries.  Measured at 4 words synchronous, 5
+   under Uniform delays and 2 under GST (the round's slots in the trace's
+   packed counters); 16 still catches any per-delivery regression (16
+   deliveries at even one boxed word each would add 16 or more). *)
+let words_per_round_budget = 16
 
 let test_round_allocation () =
   let short = minor_words_of_run ~max_rounds:100 in
@@ -105,9 +105,9 @@ let test_run_allocation () =
    checks; the engine's buffers come from the domain's reused run
    context — so a regression in per-run construction or accounting shows
    up here even when the per-round budget above is untouched.  Measured
-   at 3,691 words (x86-64, OCaml 5.1.1); the budget leaves about 11% of
+   at 2,564 words (x86-64, OCaml 5.1.1); the budget leaves about 11% of
    slack. *)
-let words_per_run_budget = 4_100
+let words_per_run_budget = 2_850
 
 let checked_spec =
   let module Runner = Vv_core.Runner in
@@ -119,9 +119,11 @@ let checked_spec =
     ~max_rounds:60 ~n:5 ~t:1
     (List.map Vv_ballot.Option_id.of_int [ 0; 0; 0; 1; 0 ])
 
-let checked_run_words () =
+(* Words one warm [Runner.run_checked] of [spec] allocates; the run must
+   terminate. *)
+let checked_run_words spec =
   let w0 = Gc.minor_words () in
-  let r = Vv_core.Runner.run_checked checked_spec in
+  let r = Vv_core.Runner.run_checked spec in
   let w1 = Gc.minor_words () in
   (match r with
   | Ok o -> assert o.Vv_core.Runner.termination
@@ -129,8 +131,8 @@ let checked_run_words () =
   int_of_float (w1 -. w0)
 
 let test_checked_run_allocation () =
-  ignore (checked_run_words ());
-  let per_run = checked_run_words () in
+  ignore (checked_run_words checked_spec);
+  let per_run = checked_run_words checked_spec in
   Alcotest.(check bool)
     (Printf.sprintf "checked run: %d words exceeds the %d-word budget" per_run
        words_per_run_budget)
@@ -138,18 +140,47 @@ let test_checked_run_allocation () =
     (per_run <= words_per_run_budget);
   Alcotest.(check bool) "the run actually executes" true (per_run > 0)
 
-(* --- GST scheduler hot path --- *)
+(* --- n = 64 checked runs --- *)
 
-(* The same marginal measurement under the Eventually_synchronous model.
-   Any RNG-drawing delay model pays for its draws (the splitmix state is
-   a boxed int64, so each draw allocates a few words — 16 deliveries make
-   that the dominant per-round cost), so the GST pin is relative: one
-   additional round under ES, post-GST, must cost no more than the same
-   round under Uniform over the same delay range plus the synchronous
-   budget.  That catches the synchrony axis reintroducing per-delivery
-   structure (boxed verdicts, per-round views, option churn in the clamp)
-   without re-litigating the RNG's own allocation.  GST sits past the
-   short run's horizon so both runs cross it identically warmed. *)
+(* Figure 1's electorate size: Algorithm 1 at n = 64 (t = f = 21, honest
+   inputs 30/8/5, colluding Byzantine nodes), once over Phase-King and
+   once over Dolev-Strong.  Each of the run's ~32,000 deliveries crosses
+   the engine, the sub-machine inbox and the vote counters, so any
+   per-delivery or per-vote allocation multiplies into these budgets.
+   Measured warm at 53,344 (Phase-King) and 61,022 (Dolev-Strong) words
+   (x86-64, OCaml 5.1.1); each budget leaves about 11% of slack. *)
+let n64_budgets = [ (Vv_bb.Bb.Phase_king, 59_000); (Vv_bb.Bb.Dolev_strong, 67_500) ]
+
+let n64_spec bb =
+  let o = Vv_ballot.Option_id.of_int in
+  Vv_core.Runner.simple_spec ~protocol:Vv_core.Runner.Algo1 ~bb ~t:21 ~f:21
+    (List.init 43 (fun i -> o (if i < 30 then 0 else if i < 38 then 1 else 2)))
+
+let test_n64_run_allocation () =
+  List.iter
+    (fun (bb, budget) ->
+      let spec = n64_spec bb in
+      ignore (checked_run_words spec);
+      let per_run = checked_run_words spec in
+      Alcotest.(check bool)
+        (Printf.sprintf "n=64 %s run: %d words exceeds the %d-word budget"
+           (Vv_bb.Bb.name bb) per_run budget)
+        true (per_run <= budget);
+      Alcotest.(check bool) "the run actually executes" true (per_run > 0))
+    n64_budgets
+
+(* --- RNG-drawing delay models --- *)
+
+(* The same marginal measurement under delay models that draw from the
+   RNG for every delivery.  The splitmix state is unboxed, so a draw
+   allocates nothing and a Uniform round meets the synchronous budget
+   outright.  The GST pin stays relative as well: one additional round
+   under ES, post-GST, must cost no more than the same round under
+   Uniform over the same delay range plus the synchronous budget.  That
+   catches the synchrony axis reintroducing per-delivery structure
+   (boxed verdicts, per-round views, option churn in the clamp).  GST
+   sits past the short run's horizon so both runs cross it identically
+   warmed. *)
 let minor_words_of_delay_run ~delay ~max_rounds =
   let cfg = Config.make ~n:4 ~t_max:1 ~max_rounds ~delay () in
   let w0 = Gc.minor_words () in
@@ -162,6 +193,19 @@ let marginal_words_per_round ~delay =
   let short = minor_words_of_delay_run ~delay ~max_rounds:100 in
   let long = minor_words_of_delay_run ~delay ~max_rounds:1100 in
   (long - short) / 1000
+
+let test_uniform_round_allocation () =
+  let uniform =
+    marginal_words_per_round ~delay:(Delay.Uniform { lo = 1; hi = 2 })
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "uniform delays: %d words/round exceeds the %d-word budget" uniform
+       words_per_round_budget)
+    true
+    (uniform <= words_per_round_budget);
+  Alcotest.(check bool) "uniform rounds actually execute and allocate" true
+    (uniform > 0)
 
 let test_gst_round_allocation () =
   let uniform =
@@ -269,6 +313,10 @@ let () =
             test_run_allocation;
           Alcotest.test_case "checked run words/run" `Quick
             test_checked_run_allocation;
+          Alcotest.test_case "n=64 runs words/run" `Quick
+            test_n64_run_allocation;
+          Alcotest.test_case "uniform delay words/round" `Quick
+            test_uniform_round_allocation;
           Alcotest.test_case "gst scheduler words/round" `Quick
             test_gst_round_allocation;
           Alcotest.test_case "chaos transit words/verdict" `Quick

@@ -412,11 +412,13 @@ let test_in_flight_view () =
 
 (* --- run-context reuse --- *)
 
-(* Every run borrows its domain's reusable context (engine buffers, trace
-   builder).  Interleaving very different runs in one domain — a wide
-   run, a chaos run with retransmission, a run aborted mid-round by an
-   invalid adversary, and a run nested inside an adversary's [act] — must
-   give each the result it gets alone in a freshly spawned domain. *)
+(* Every run borrows its domain's reusable context (engine buffers,
+   payload tables, trace builder).  Interleaving very different runs in
+   one domain — a wide run, runs under Uniform delays and with
+   retransmission (deliveries stay in flight across rounds, so the
+   payload table never flips), a run aborted mid-round by an invalid
+   adversary, and a run nested inside an adversary's [act] — must give
+   each the result it gets alone in a freshly spawned domain. *)
 module Runner = Vv_core.Runner
 
 let render_outcome = function
@@ -455,6 +457,26 @@ let eig_chaos_spec =
 
 let eig_chaos () = render_outcome (Runner.run_checked eig_chaos_spec)
 
+let honest_inputs l = List.map Vv_ballot.Option_id.of_int l
+
+let phase_king_uniform_spec =
+  Runner.simple_spec ~bb:Vv_bb.Bb.Phase_king
+    ~delay:(Delay.Uniform { lo = 1; hi = 3 })
+    ~seed:17 ~t:2 ~f:2
+    (honest_inputs [ 0; 1; 0; 2; 0; 1; 0 ])
+
+let phase_king_uniform () =
+  render_outcome (Runner.run_checked phase_king_uniform_spec)
+
+let dolev_strong_retransmit_spec =
+  Runner.simple_spec ~bb:Vv_bb.Bb.Dolev_strong
+    ~network:(Network.make ~drop:0.3 ~seed:23 ())
+    ~retransmit:Retransmit.default ~seed:29 ~t:2 ~f:2
+    (honest_inputs [ 1; 1; 0; 2; 1 ])
+
+let dolev_strong_retransmit () =
+  render_outcome (Runner.run_checked dolev_strong_retransmit_spec)
+
 (* Legal Byzantine traffic for two rounds, then a send impersonating
    honest node 0.  The slow links leave deliveries in flight at the
    abort, which the next run in the domain must not see. *)
@@ -491,6 +513,8 @@ let test_context_reuse_invisible () =
     [
       ("phase-king n=64", phase_king_64);
       ("eig n=4 chaos+retransmit", eig_chaos);
+      ("phase-king n=9 uniform delay", phase_king_uniform);
+      ("dolev-strong n=7 retransmit", dolev_strong_retransmit);
       ("invalid adversary mid-round", invalid_mid_round);
       ("nested run", nested);
     ]
@@ -505,6 +529,12 @@ let test_context_reuse_invisible () =
       check_bool "chaos run drops and retransmits" true
         (tr.Trace.dropped_msgs > 0 && tr.Trace.retrans_msgs > 0)
   | Error _ -> Alcotest.fail "chaos run rejected");
+  (match Runner.run_checked dolev_strong_retransmit_spec with
+  | Ok o ->
+      check_bool "retransmit run drops and retransmits" true
+        (o.Runner.trace.Trace.dropped_msgs > 0
+        && o.Runner.trace.Trace.retrans_msgs > 0)
+  | Error _ -> Alcotest.fail "retransmit run rejected");
   let starts prefix name = String.starts_with ~prefix (List.assoc name fresh) in
   check_bool "aborted mid-round" true
     (starts "invalid: " "invalid adversary mid-round");
@@ -517,6 +547,121 @@ let test_context_reuse_invisible () =
           check Alcotest.string name (List.assoc name fresh) (run ()))
         (runs @ List.rev runs))
     [ 1; 2 ]
+
+(* --- payload lifetime --- *)
+
+(* The engine writes each message once into a payload table and
+   deliveries carry its index.  The tables must not keep payloads alive
+   beyond their use: during a run, a table is cleared at the flip, once
+   no delivery refers to it; at the end of a run, normal or aborted,
+   both are cleared.  [Boxed] sends a freshly allocated block per send,
+   each tracked in a weak array with its send round: three broadcasts
+   per node at round 0, one per later round, so a table refilled without
+   being cleared still holds round-0 payloads past the new sends. *)
+type boxed_msg = { from : int; round : int }
+
+let tracked : boxed_msg Weak.t = Weak.create 4096
+let tracked_round = Array.make 4096 0
+let ntracked = ref 0
+
+let track ~round m =
+  Weak.set tracked !ntracked (Some m);
+  tracked_round.(!ntracked) <- round;
+  incr ntracked;
+  m
+
+(* Tracked payloads still reachable, among those sent at or before
+   [round], after a full major collection. *)
+let live_upto round =
+  Gc.full_major ();
+  let live = ref 0 in
+  for i = 0 to !ntracked - 1 do
+    if tracked_round.(i) <= round && Weak.check tracked i then incr live
+  done;
+  !live
+
+module Boxed = struct
+  type input = unit
+  type msg = boxed_msg
+  type output = int
+  type state = { mutable sum : int; mutable finished : bool }
+
+  let name = "boxed"
+  let equal_msg a b = a.from = b.from && a.round = b.round
+  let last_round = 10
+  let probe_round = 8
+
+  (* Payloads sent two or more rounds before [probe_round] still
+     reachable mid-run; -1 until probed. *)
+  let stale_mid_run = ref (-1)
+
+  let send ~me ~round outbox =
+    Outbox.broadcast outbox (track ~round { from = me; round })
+
+  let init (ctx : Protocol.ctx) () ~outbox =
+    for _ = 1 to 3 do
+      send ~me:ctx.me ~round:0 outbox
+    done;
+    { sum = 0; finished = false }
+
+  let step (ctx : Protocol.ctx) st ~round ~inbox ~outbox =
+    if ctx.me = 0 && round = probe_round then
+      stale_mid_run := live_upto (round - 2);
+    for i = 0 to Inbox.length inbox - 1 do
+      st.sum <- st.sum + (Inbox.msg inbox i).round
+    done;
+    if round < last_round then send ~me:ctx.me ~round outbox
+    else st.finished <- true;
+    st
+
+  let output st = if st.finished then Some st.sum else None
+  let phase _ = "boxed"
+  let inert _ = false
+end
+
+module EB = Engine.Make (Boxed)
+
+let test_payloads_do_not_outlive_run () =
+  ntracked := 0;
+  Boxed.stale_mid_run := -1;
+  let cfg = Config.make ~n:4 ~t_max:1 ~max_rounds:12 () in
+  ignore (EB.run_exn cfg ~inputs:(fun _ -> ()) ());
+  check_bool "payloads tracked" true (!ntracked > 40);
+  check_int "no payload two rounds old is reachable mid-run" 0
+    !Boxed.stale_mid_run;
+  check_int "no payload reachable after a run" 0 (live_upto max_int);
+  (* Abort with deliveries in flight: legal Byzantine traffic on slow
+     links, then a send impersonating honest node 0. *)
+  ntracked := 0;
+  let cfg =
+    Config.with_byzantine ~delay:(Delay.Fixed 3) ~n:4 ~t_max:1 [ 3 ] ()
+  in
+  let adversary =
+    Adversary.named "impersonate-late" (fun view ->
+        let round = view.Adversary.round in
+        match round with
+        | 0 | 1 ->
+            List.init 4 (fun dst ->
+                {
+                  Adversary.src = 3;
+                  dst;
+                  msg = track ~round { from = 3; round };
+                })
+        | 2 ->
+            [
+              {
+                Adversary.src = 0;
+                dst = 1;
+                msg = track ~round { from = 0; round };
+              };
+            ]
+        | _ -> [])
+  in
+  (match EB.run cfg ~inputs:(fun _ -> ()) ~adversary () with
+  | Error (`Invalid_adversary _) -> ()
+  | Ok _ -> Alcotest.fail "impersonation accepted");
+  check_bool "aborted run tracked payloads" true (!ntracked > 10);
+  check_int "no payload reachable after an aborted run" 0 (live_upto max_int)
 
 let () =
   Alcotest.run "sim"
@@ -549,6 +694,8 @@ let () =
           Alcotest.test_case "deterministic given seed" `Quick test_determinism;
           Alcotest.test_case "run-context reuse is invisible" `Quick
             test_context_reuse_invisible;
+          Alcotest.test_case "payloads do not outlive their run" `Quick
+            test_payloads_do_not_outlive_run;
           Alcotest.test_case "stall reported" `Quick test_stall_reported;
           Alcotest.test_case "max_rounds is a round budget" `Quick
             test_max_rounds_is_a_round_budget;
