@@ -771,9 +771,12 @@ let serve_cmd =
             cfg
         in
         cleanup ();
-        Fmt.pr "served %d clients, final height %d, %d slow disconnects@."
+        Fmt.pr
+          "served %d clients, final height %d, %d slow disconnects, %d \
+           long-line disconnects@."
           outcome.Vv_serve.Server.served_clients outcome.Vv_serve.Server.height
           outcome.Vv_serve.Server.slow_disconnects
+          outcome.Vv_serve.Server.long_line_disconnects
   in
   C.Cmd.v (C.Cmd.info "serve" ~doc)
     C.Term.(

@@ -45,7 +45,7 @@ type row = {
   follower_eq : bool;  (* follower log == primary log after resync *)
   matches_local : bool;  (* deterministic cells: log == Engine.run *)
   subjects_ok : bool;  (* every subject decided exactly once *)
-  catchups : int;  (* follower's successful primary connections *)
+  catchups : int;  (* follower resyncs the primary acknowledged *)
   clean : bool;  (* no errors, both daemons shut down orderly *)
 }
 

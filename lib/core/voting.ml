@@ -321,7 +321,8 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
   (* --- Adversary strategies over this message type --- *)
 
   (* First vote per honest sender observed in the current round's traffic
-     (a broadcast appears once per recipient; deduplicate by source).  The
+     (a broadcast appears once, as a row, or once per recipient;
+     deduplicate by source).  The
      scan reads the indexed view directly, so rounds whose traffic carries
      no votes — the whole Phase-1 storm — allocate nothing here. *)
   let observed_votes (view : msg Adversary.view) =

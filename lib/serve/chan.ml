@@ -18,9 +18,13 @@
 
    Every syscall retries [EINTR], treats [EAGAIN]/[EWOULDBLOCK] as "no
    progress", and marks the channel dead on any other [Unix_error] (or on
-   EOF) instead of raising — a dying peer must never crash the loop. *)
+   EOF) instead of raising — a dying peer must never crash the loop.  A
+   dead channel remembers the first reason it died, so the owning loop
+   can count its disconnects by cause. *)
 
 let max_line = 1 lsl 20
+
+type death = Peer_gone | Overflow | Long_line | Closed
 
 type t = {
   fd : Unix.file_descr;
@@ -32,7 +36,7 @@ type t = {
   outq : string Queue.t;  (* unsent payloads, each ending in '\n' *)
   mutable out_ofs : int;  (* bytes of the queue head already written *)
   mutable out_bytes : int;  (* total unsent bytes across the queue *)
-  mutable alive : bool;
+  mutable death : death option;  (* [None] while alive *)
 }
 
 let of_fd fd =
@@ -44,21 +48,26 @@ let of_fd fd =
     outq = Queue.create ();
     out_ofs = 0;
     out_bytes = 0;
-    alive = true;
+    death = None;
   }
 
 let fd t = t.fd
-let alive t = t.alive
-let kill t = t.alive <- false
+let alive t = Option.is_none t.death
+let death t = t.death
+
+(* The first cause sticks. *)
+let die t cause = if Option.is_none t.death then t.death <- Some cause
+
+let kill t = die t Closed
 let unsent t = t.out_bytes
-let want_write t = t.alive && t.out_bytes > 0
+let want_write t = alive t && t.out_bytes > 0
 
 let close t =
-  t.alive <- false;
+  die t Closed;
   try Unix.close t.fd with Unix.Unix_error _ -> ()
 
 let rec flush_write t =
-  if t.alive && not (Queue.is_empty t.outq) then
+  if alive t && not (Queue.is_empty t.outq) then
     let head = Queue.peek t.outq in
     let len = String.length head - t.out_ofs in
     match Unix.single_write_substring t.fd head t.out_ofs len with
@@ -72,17 +81,17 @@ let rec flush_write t =
         else t.out_ofs <- t.out_ofs + written
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> flush_write t
-    | exception Unix.Unix_error (_, _, _) -> t.alive <- false
+    | exception Unix.Unix_error (_, _, _) -> die t Peer_gone
 
 let enqueue t ~max_outq line =
-  if not t.alive then `Ok
+  if not (alive t) then `Ok
   else begin
     let payload = line ^ "\n" in
     Queue.push payload t.outq;
     t.out_bytes <- t.out_bytes + String.length payload;
     flush_write t;
     if t.out_bytes > max_outq then begin
-      t.alive <- false;
+      die t Overflow;
       `Overflow
     end
     else `Ok
@@ -99,17 +108,17 @@ let rec read_available t =
   end;
   match Unix.read t.fd t.inbuf t.inlen (Bytes.length t.inbuf - t.inlen) with
   | 0 ->
-      t.alive <- false;
+      die t Peer_gone;
       0
   | len -> len
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_available t
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> 0
   | exception Unix.Unix_error (_, _, _) ->
-      t.alive <- false;
+      die t Peer_gone;
       0
 
 let read_lines t =
-  if not t.alive then []
+  if not (alive t) then []
   else
     match read_available t with
     | 0 -> []
@@ -130,7 +139,7 @@ let read_lines t =
         if !start > 0 then Bytes.blit buf !start buf 0 rest;
         t.inlen <- rest;
         if rest > max_line then begin
-          t.alive <- false;
+          die t Long_line;
           t.inbuf <- Bytes.empty;
           t.inlen <- 0
         end;

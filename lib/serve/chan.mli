@@ -12,6 +12,16 @@ val of_fd : Unix.file_descr -> t
 val fd : t -> Unix.file_descr
 val alive : t -> bool
 
+(** Why a channel died. *)
+type death =
+  | Peer_gone  (** EOF or a connection error *)
+  | Overflow  (** {!enqueue} passed its [max_outq] bound *)
+  | Long_line  (** a partial line passed {!max_line} *)
+  | Closed  (** {!kill} or {!close} *)
+
+val death : t -> death option
+(** The first reason the channel died; [None] while it is alive. *)
+
 val kill : t -> unit
 (** Mark dead without closing; the owning loop closes on its next sweep. *)
 
@@ -43,5 +53,5 @@ val read_lines : t -> string list
     {!alive} afterwards to distinguish quiet from EOF/error. Only the
     newly read bytes are scanned, so a line split across many reads
     costs time linear in its length. A partial line longer than
-    {!max_line} marks the channel dead (its buffer is released); the
-    complete lines of that read are still returned. *)
+    {!max_line} marks the channel dead with [Long_line] (its buffer is
+    released); the complete lines of that read are still returned. *)

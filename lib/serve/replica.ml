@@ -17,6 +17,11 @@
    whatever height the follower reached, so the follower's log converges
    to the primary's byte-for-byte (campaign E19 pins this).
 
+   A resync counts once the primary acknowledges the [catchup] (its
+   [replaying] response), not when [connect] succeeds: a connect can
+   land in the backlog of a listener that will never accept it (a
+   primary that has stopped serving but not yet closed its socket).
+
    Client-facing surface: [status] (with follower role fields),
    [catchup] and [shutdown] behave as on the primary; [flush] is a no-op
    (nothing pends locally); [submit] is refused — followers are
@@ -82,7 +87,6 @@ let run ?batch ?jobs ?snapshot ?log ?(max_outq = Server.default_max_outq)
     match Unix.connect fd primary with
     | () ->
         let ch = Chan.of_fd fd in
-        incr catchups;
         let from = Engine.height engine in
         ignore (Chan.enqueue ch ~max_outq (catchup_request ~from));
         upstream := Some ch;
@@ -94,7 +98,11 @@ let run ?batch ?jobs ?snapshot ?log ?(max_outq = Server.default_max_outq)
   (* Apply one upstream line; true when it extended the committed log. *)
   let apply line =
     match Rpc.decision_of_line line with
-    | None -> false (* the catchup ack, or noise — not a decision *)
+    | None ->
+        (* The catchup acknowledgement completes a resync; anything else
+           is noise. *)
+        if Option.is_some (Rpc.replaying_of_line line) then incr catchups;
+        false
     | Some s -> (
         match Engine.append_committed engine s with
         | Ok `Applied ->

@@ -14,7 +14,8 @@
 type outcome = {
   height : int;
   served_clients : int;
-  catchups : int;  (** successful primary connections, each one resync *)
+  catchups : int;
+      (** resyncs: [catchup] requests the primary acknowledged *)
 }
 
 val run :

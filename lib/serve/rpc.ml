@@ -119,6 +119,17 @@ let decision_of_line line =
       | _ -> None)
   | _ -> None
 
+let replaying_of_line line =
+  match Json.of_string line with
+  | Ok (Json.Obj fields) -> (
+      match List.assoc_opt "result" fields with
+      | Some (Json.Obj result) -> (
+          match List.assoc_opt "replaying" result with
+          | Some (Json.Int count) -> Some count
+          | _ -> None)
+      | _ -> None)
+  | _ -> None
+
 let status_json ?(extra = []) engine =
   let st = Engine.stats engine in
   let cfg = Engine.config engine in

@@ -27,6 +27,10 @@ val decision_of_line : string -> Vv_multishot.Ledger.slot option
 (** Reconstruct the slot record from a streamed decision line; [None]
     for any other line. *)
 
+val replaying_of_line : string -> int option
+(** The replay count of a [catchup] response line ([{"result":
+    {"replaying": k}}]); [None] for any other line. *)
+
 val status_json :
   ?extra:(string * Json.t) list -> Vv_multishot.Engine.t -> Json.t
 (** The status result payload; [extra] fields (a daemon's role, follower

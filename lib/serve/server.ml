@@ -16,7 +16,9 @@
    stalled consumer can never block decision broadcast to anyone else.
    A client whose unsent queue passes [max_outq] bytes is disconnected
    (the slow-consumer policy, counted in the outcome); it can reconnect
-   and [catchup] from wherever it left off.
+   and [catchup] from wherever it left off.  A client whose partial line
+   passes {!Chan.max_line} is disconnected too, counted in the outcome
+   and reported by [status].
 
    Durability: with [?snapshot] the committed log is written atomically
    (tmp + rename, {!Vv_prelude.Io.write_atomic}) after every commit burst
@@ -80,7 +82,12 @@ let bound_port fd =
 
 (* --- the serve loop --- *)
 
-type outcome = { height : int; served_clients : int; slow_disconnects : int }
+type outcome = {
+  height : int;
+  served_clients : int;
+  slow_disconnects : int;
+  long_line_disconnects : int;
+}
 
 let write_snapshot ?log engine = function
   | None -> ()
@@ -124,6 +131,7 @@ let serve ?batch ?jobs ?snapshot ?log ?(max_outq = default_max_outq) ?sndbuf
   let clients : (Unix.file_descr, Chan.t) Hashtbl.t = Hashtbl.create 64 in
   let served = ref 0 in
   let slow = ref 0 in
+  let long_lines = ref 0 in
   let running = ref true in
   let send ch line =
     match Chan.enqueue ch ~max_outq line with
@@ -166,7 +174,11 @@ let serve ?batch ?jobs ?snapshot ?log ?(max_outq = default_max_outq) ?sndbuf
           send ch
             (Rpc.result ~id
                (Rpc.status_json
-                  ~extra:[ ("role", Json.String "primary") ]
+                  ~extra:
+                    [
+                      ("role", Json.String "primary");
+                      ("long_line_disconnects", Json.Int !long_lines);
+                    ]
                   engine))
       | Ok (Rpc.Catchup { id; from }) ->
           let replay = Engine.decisions_from engine from in
@@ -180,6 +192,18 @@ let serve ?batch ?jobs ?snapshot ?log ?(max_outq = default_max_outq) ?sndbuf
           send ch
             (Rpc.result ~id (Json.Obj [ ("stopping", Json.Bool true) ]));
           running := false
+  in
+  (* Close a dead client's connection, counting it if its line grew past
+     the limit. *)
+  let drop (fd, ch) =
+    if Chan.death ch = Some Chan.Long_line then begin
+      incr long_lines;
+      info
+        (Printf.sprintf "disconnected a client whose line passed %d bytes"
+           Chan.max_line)
+    end;
+    Chan.close ch;
+    Hashtbl.remove clients fd
   in
   let accept () =
     match Unix.accept listen with
@@ -232,11 +256,7 @@ let serve ?batch ?jobs ?snapshot ?log ?(max_outq = default_max_outq) ?sndbuf
             (fun fd ch acc -> if Chan.alive ch then acc else (fd, ch) :: acc)
             clients []
         in
-        List.iter
-          (fun (fd, ch) ->
-            Chan.close ch;
-            Hashtbl.remove clients fd)
-          dead
+        List.iter drop dead
   done;
   write_snapshot ?log engine snapshot;
   (* Last-gasp flush so shutdown responses reach clients that are reading. *)
@@ -250,4 +270,5 @@ let serve ?batch ?jobs ?snapshot ?log ?(max_outq = default_max_outq) ?sndbuf
     height = Engine.height engine;
     served_clients = !served;
     slow_disconnects = !slow;
+    long_line_disconnects = !long_lines;
   }

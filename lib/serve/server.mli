@@ -32,6 +32,9 @@ type outcome = {
   served_clients : int;
   slow_disconnects : int;
       (** clients dropped by the bounded-outbound-queue policy *)
+  long_line_disconnects : int;
+      (** clients dropped for a partial line longer than {!Chan.max_line};
+          [status] reports the running count *)
 }
 
 val write_snapshot :

@@ -11,16 +11,23 @@
    the adversary-side analogue of {!Inbox}.  The engine allocates one view
    per run and refreshes [round]/[sent_len] each round, so observing a
    round allocates nothing until the adversary actually asks for message
-   content.  Accessors are only valid during the [act] call. *)
+   content.  Accessors are only valid during the [act] call.
+
+   An entry is one delivery or one row: a broadcast to every node that
+   the engine carries as a single entry ([sent_dst i =
+   Outbox.broadcast_dst]).  A broadcast appears either once, as a row,
+   or once per recipient; readers that want each sender's message take
+   the first entry per sender, which is the same message either way. *)
 type 'msg view = {
   mutable round : int;
   mutable sent_len : int;
-      (** number of messages non-Byzantine nodes sent this round, after
+      (** number of entries non-Byzantine nodes sent this round, after
           crash filtering — what a rushing adversary can observe *)
   sent_src : int -> Types.node_id;
   sent_dst : int -> Types.node_id;
+      (** a recipient, or [Outbox.broadcast_dst] for a row *)
   sent_msg : int -> 'msg;
-      (** the i-th honest send of the round, 0 <= i < [sent_len], in
+      (** the i-th honest entry of the round, 0 <= i < [sent_len], in
           (node id, emission, neighbourhood) order *)
   byz_inbox : Types.node_id -> (Types.node_id * 'msg) list;
       (** messages the given Byzantine node received this round *)

@@ -10,21 +10,28 @@
     view per run and refreshes [round]/[sent_len] each round, so a round
     with an uninterested adversary allocates nothing; accessors (and the
     view itself) are only valid for the duration of the [act] call and
-    must not be retained. *)
+    must not be retained.
+
+    An entry is one delivery or one row — a broadcast to every node
+    carried as a single entry, with [sent_dst i = Outbox.broadcast_dst].
+    Whether a broadcast shows as a row or once per recipient depends on
+    the configuration (see {!Engine}); taking the first entry per sender
+    sees the same messages either way. *)
 type 'msg view = {
   mutable round : int;
   mutable sent_len : int;
-      (** how many messages non-Byzantine nodes sent this round *)
+      (** how many entries non-Byzantine nodes sent this round *)
   sent_src : int -> Types.node_id;
   sent_dst : int -> Types.node_id;
+      (** a recipient, or [Outbox.broadcast_dst] for a row *)
   sent_msg : int -> 'msg;
-      (** the i-th honest send of the round, [0 <= i < sent_len], in
+      (** the i-th honest entry of the round, [0 <= i < sent_len], in
           (node id, emission, neighbourhood) order *)
   byz_inbox : Types.node_id -> (Types.node_id * 'msg) list;
       (** this round's deliveries to the given Byzantine node *)
   in_flight : unit -> (int * Types.node_id * Types.node_id) list;
-      (** every delivery already routed but not yet delivered, as
-          (arrival round, src, dst) triples sorted ascending — in-flight
+      (** every delivery already routed but not yet delivered (rows
+          expanded), as (arrival round, src, dst) triples sorted ascending — in-flight
           scheduling exposed to the full-information adversary, so scripts
           can pick worst-case delivery orders under the asynchronous and
           GST delay models.  Allocates per call; valid only during

@@ -139,6 +139,9 @@ let fault_of cfg id =
 let delivers cfg ~src ~round ~dst =
   Fault.compiled_delivers cfg.compiled.(src) ~round ~dst
 
+let delivers_all cfg ~src ~round =
+  Fault.compiled_delivers_all cfg.compiled.(src) ~round
+
 let within_tolerance cfg = faulty_count cfg <= cfg.t_max
 
 (* Convenience: mark the given nodes Byzantine, all others honest. *)

@@ -66,6 +66,10 @@ val delivers : t -> src:Types.node_id -> round:int -> dst:Types.node_id -> bool
 (** O(1) crash filter: whether a message sent by [src] in [round] survives
     [src]'s fault plan (the compiled form of {!Fault.delivers}). *)
 
+val delivers_all : t -> src:Types.node_id -> round:int -> bool
+(** Whether every message [src] sends in [round] survives its fault
+    plan, whatever the recipient. *)
+
 val within_tolerance : t -> bool
 (** [f <= t]. *)
 

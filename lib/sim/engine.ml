@@ -28,17 +28,40 @@
    nothing from the chaos RNG — runs are byte-identical to the
    pre-substrate engine.
 
-   Representation: a delivery in flight is two immediate ints, a meta
+   Representation: an entry in flight is two immediate ints, a meta
    word ([src lsl 20 lor dst]; the retry queue adds the attempt count in
    higher bits) and the index of its message in a payload table.  The
    engine writes a message into the table once per send — once per
-   outbox entry, once per adversary plan — and pushes (meta, index) per
-   recipient, so every buffer a delivery passes through is int-only:
-   both schedulers' buckets, the honest send buffer and the delivery
-   arena.  Future rounds are scheduled into a round-indexed circular
-   bucket array (power-of-two capacity, slot = round land (cap - 1),
-   grown on collision); a bucket borrows a cleared buffer from its
-   scheduler's free list while its round is live.
+   outbox entry, once per adversary plan — so every buffer an entry
+   passes through is int-only: both schedulers' buckets, the honest send
+   buffer and the delivery arena.  Future rounds are scheduled into a
+   round-indexed circular bucket array (power-of-two capacity, slot =
+   round land (cap - 1), grown on collision); a bucket borrows a cleared
+   buffer from its scheduler's free list while its round is live.
+
+   Rows: an entry is one delivery, or a row — one broadcast to every
+   node, marked by a dst field of all ones.  A broadcast becomes a row
+   when the graph is complete, there is no chaos plan and no
+   retransmission, the delay is [Synchronous] or [Fixed] (one constant
+   that draws nothing from the delay RNG), the sender delivers to
+   everyone this round (honest, or a crash node before its crash
+   round) and its outbox this round holds only broadcasts.  Every other
+   send is expanded per recipient, as are all adversary plans, so a
+   sender's entries in one bucket are all rows or all deliveries.  A row
+   is routed and scheduled once, and each buffer counts its rows as they
+   are pushed, so the bucket picks its sort without testing entries:
+   - no rows: the (dst, src) counting sort described at step 1;
+   - only rows: a counting sort by sender into one window, and every
+     node's inbox is that window — O(n + rows) instead of O(n^2);
+   - mixed (an adversary's plans, a crash round or a unicasting sender
+     share the bucket with rows): each row is expanded in place into its
+     n deliveries and the bucket takes the (dst, src) sort.
+   Every observable is the per-recipient path's: inbox order, the RNG
+   draws (a row draws nothing), the trace (a row counts as n honest
+   deliveries) and the adversary's in-flight view (rows expanded).  Only
+   the adversary's [sent_*] view shows rows as single entries, which
+   every reader of it deduplicates by sender anyway.  test_sim.ml runs
+   each case on both paths and compares.
 
    The flip: the context holds two payload tables.  After step 2, if
    nothing is scheduled and nothing is queued for retry, only this
@@ -104,25 +127,31 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 (* Meta word layout: [attempt lsl 40 | src lsl 20 | dst].  20 bits per id
    bounds n at ~10^6 nodes, far beyond simulation sizes; attempts are
-   single digits. *)
+   single digits.  A dst field of all ones ([id_mask]) marks a row: one
+   entry standing for a broadcast to every node. *)
 let dst_bits = 20
 
 let id_mask = (1 lsl dst_bits) - 1
+
+let is_row m = m land id_mask = id_mask
 
 let attempt_shift = 2 * dst_bits
 
 let dummy = Obj.repr ()
 
 (* A growable pair of parallel int arrays: one meta word and one payload
-   index per delivery.  Holding no pointers, it is written without a
-   write barrier and cleared by resetting its length. *)
+   index per entry, and the number of entries that are rows (counted at
+   push time, so a consumer picks its loop per buffer instead of testing
+   every entry).  Holding no pointers, it is written without a write
+   barrier and cleared by resetting its lengths. *)
 type buf = {
   mutable meta : int array;
   mutable pay : int array;
   mutable blen : int;
+  mutable rows : int;
 }
 
-let buf_make () = { meta = [||]; pay = [||]; blen = 0 }
+let buf_make () = { meta = [||]; pay = [||]; blen = 0; rows = 0 }
 
 let buf_grow b =
   let cap = Array.length b.meta in
@@ -139,7 +168,13 @@ let buf_push b m p =
   b.pay.(b.blen) <- p;
   b.blen <- b.blen + 1
 
-let buf_clear b = b.blen <- 0
+let buf_push_row b m p =
+  buf_push b m p;
+  b.rows <- b.rows + 1
+
+let buf_clear b =
+  b.blen <- 0;
+  b.rows <- 0
 
 (* A payload table: every message a run sends is written here once per
    send (an outbox entry or an adversary plan), and each of its
@@ -185,7 +220,7 @@ module Sched = struct
   type t = {
     mutable cap : int;
     mutable buckets : bucket array;
-    mutable live : int;  (* deliveries currently scheduled, all buckets *)
+    mutable live : int;  (* entries currently scheduled, all buckets *)
     mutable free : buf array;  (* cleared buffers, a stack *)
     mutable nfree : int;
   }
@@ -260,6 +295,10 @@ module Sched = struct
     buf_push (bucket_for t round).buf meta pay;
     t.live <- t.live + 1
 
+  let push_row t round meta pay =
+    buf_push_row (bucket_for t round).buf meta pay;
+    t.live <- t.live + 1
+
   (* Detach the buffer due at [round] ([no_buf], empty, when nothing is
      due) and surrender its live count; the caller consumes it and hands
      it back with [release].  Its bucket is free again at once, so pushes
@@ -276,9 +315,9 @@ module Sched = struct
 
   let is_empty t = t.live = 0
 
-  (* Fold over every delivery still scheduled, across all live buckets,
-     in no particular order (callers sort).  Feeds the adversary's
-     in-flight view; allocates nothing itself. *)
+  (* Fold over every entry still scheduled (a delivery or a row), across
+     all live buckets, in no particular order (callers sort).  Feeds the
+     adversary's in-flight view; allocates nothing itself. *)
   let fold t f acc =
     let acc = ref acc in
     Array.iter
@@ -378,6 +417,104 @@ let release c =
   Array.fill c.states 0 (Array.length c.states) dummy;
   c.busy <- false
 
+(* --- the delivery arena --- *)
+
+(* Each round's bucket is sorted into the context's arena, and every node
+   reads its inbox as an (offset, length) window of it.  Rows leave the
+   per-recipient sort untouched: a bucket with no rows goes down
+   [sort_by_dst], one of only rows down [sort_by_src], and a mixed one is
+   expanded first. *)
+
+let ensure_arena c len =
+  if Array.length c.arena_srcs < len then begin
+    let cap = max len (2 * Array.length c.arena_srcs) in
+    c.arena_srcs <- Array.make cap 0;
+    c.arena_pay <- Array.make cap 0
+  end
+
+(* Counting sort by key [dst * n + src], stable in scheduling order: each
+   recipient's window lists its arrivals sorted by sender, ties in
+   scheduling order. *)
+let sort_by_dst c ~n (b : buf) =
+  let len = b.blen in
+  ensure_arena c len;
+  let arena_srcs = c.arena_srcs and arena_pay = c.arena_pay in
+  let counts = c.counts and inbox_off = c.inbox_off in
+  let inbox_len = c.inbox_len in
+  let meta = b.meta and pay = b.pay in
+  Array.fill counts 0 (n * n) 0;
+  for i = 0 to len - 1 do
+    let m = meta.(i) in
+    let key = ((m land id_mask) * n) + ((m lsr dst_bits) land id_mask) in
+    counts.(key) <- counts.(key) + 1
+  done;
+  (* Prefix sums, one destination row at a time. *)
+  let cum = ref 0 in
+  for d = 0 to n - 1 do
+    inbox_off.(d) <- !cum;
+    for key = d * n to (d * n) + n - 1 do
+      let k = counts.(key) in
+      counts.(key) <- !cum;
+      cum := !cum + k
+    done;
+    inbox_len.(d) <- !cum - inbox_off.(d)
+  done;
+  for i = 0 to len - 1 do
+    let m = meta.(i) in
+    let src = (m lsr dst_bits) land id_mask in
+    let key = ((m land id_mask) * n) + src in
+    let pos = counts.(key) in
+    counts.(key) <- pos + 1;
+    arena_srcs.(pos) <- src;
+    arena_pay.(pos) <- pay.(i)
+  done
+
+(* An all-row bucket: every node receives every row, so the bucket is
+   counting-sorted by sender alone (stable in scheduling order) into one
+   window, and every node's inbox is that window. *)
+let sort_by_src c ~n (b : buf) =
+  let len = b.blen in
+  ensure_arena c len;
+  let arena_srcs = c.arena_srcs and arena_pay = c.arena_pay in
+  let counts = c.counts in
+  let meta = b.meta and pay = b.pay in
+  Array.fill counts 0 n 0;
+  for i = 0 to len - 1 do
+    let src = (meta.(i) lsr dst_bits) land id_mask in
+    counts.(src) <- counts.(src) + 1
+  done;
+  let cum = ref 0 in
+  for src = 0 to n - 1 do
+    let k = counts.(src) in
+    counts.(src) <- !cum;
+    cum := !cum + k
+  done;
+  for i = 0 to len - 1 do
+    let src = (meta.(i) lsr dst_bits) land id_mask in
+    let pos = counts.(src) in
+    counts.(src) <- pos + 1;
+    arena_srcs.(pos) <- src;
+    arena_pay.(pos) <- pay.(i)
+  done;
+  Array.fill c.inbox_off 0 n 0;
+  Array.fill c.inbox_len 0 n len
+
+(* A mixed bucket, copied into [e] with each row replaced where it stood
+   by one delivery per recipient: exactly what the per-recipient path
+   would have scheduled.  A sender's entries in one bucket are all rows
+   or all deliveries, so no tie of the (dst, src) sort changes order. *)
+let expand_rows ~n (b : buf) ~into:e =
+  buf_clear e;
+  for i = 0 to b.blen - 1 do
+    let m = b.meta.(i) and p = b.pay.(i) in
+    if is_row m then
+      for dst = 0 to n - 1 do
+        buf_push e ((m land lnot id_mask) lor dst) p
+      done
+    else buf_push e m p
+  done;
+  e
+
 module Make (P : Protocol.S) = struct
   type result = {
     config : Config.t;
@@ -474,6 +611,16 @@ module Make (P : Protocol.S) = struct
        the delay/node streams are untouched by its presence. *)
     let chaos_rng = Network.rng network in
     let delta = Delay.bound cfg.Config.delay in
+    (* The row path's precondition on the configuration: the complete
+       graph, reliable links and a delay that is one constant for every
+       delivery and draws nothing ([row_delay], 0 when rows are off). *)
+    let row_delay =
+      match cfg.Config.delay with
+      | (Delay.Synchronous | Delay.Fixed _)
+        when Option.is_none cfg.Config.topology && not chaos ->
+          Delay.resolve cfg.Config.delay delay_rng ~round:0 ~src:0 ~dst:0
+      | _ -> 0
+    in
     let debugging =
       match Logs.Src.level log_src with Some Logs.Debug -> true | _ -> false
     in
@@ -596,53 +743,11 @@ module Make (P : Protocol.S) = struct
           end
         end
     in
-    (* Delivery arena: each round's bucket is counting-sorted by key
-       [dst * n + src] (stable in scheduling order), reproducing the old
-       per-recipient stable-sort-by-sender inbox order exactly; nodes
-       then read (offset, length) windows of the arena.  The arena holds
-       payload indices into [arena_tbl], the table its deliveries were
-       sent into. *)
-    let counts = c.counts and inbox_off = c.inbox_off in
-    let inbox_len = c.inbox_len in
+    let inbox_off = c.inbox_off and inbox_len = c.inbox_len in
     let have_inbox = ref false in
+    (* The payload table the arena's indices point into: the one its
+       deliveries were sent into. *)
     let arena_tbl = ref c.sends in
-    let sort_into_arena (b : buf) =
-      let len = b.blen in
-      if Array.length c.arena_srcs < len then begin
-        let cap = max len (2 * Array.length c.arena_srcs) in
-        c.arena_srcs <- Array.make cap 0;
-        c.arena_pay <- Array.make cap 0
-      end;
-      let arena_srcs = c.arena_srcs and arena_pay = c.arena_pay in
-      let meta = b.meta and pay = b.pay in
-      Array.fill counts 0 (n * n) 0;
-      for i = 0 to len - 1 do
-        let m = meta.(i) in
-        let key = ((m land id_mask) * n) + ((m lsr dst_bits) land id_mask) in
-        counts.(key) <- counts.(key) + 1
-      done;
-      (* Prefix sums, one destination row at a time. *)
-      let cum = ref 0 in
-      for d = 0 to n - 1 do
-        inbox_off.(d) <- !cum;
-        for key = d * n to (d * n) + n - 1 do
-          let k = counts.(key) in
-          counts.(key) <- !cum;
-          cum := !cum + k
-        done;
-        inbox_len.(d) <- !cum - inbox_off.(d)
-      done;
-      for i = 0 to len - 1 do
-        let m = meta.(i) in
-        let src = (m lsr dst_bits) land id_mask in
-        let key = ((m land id_mask) * n) + src in
-        let pos = counts.(key) in
-        counts.(key) <- pos + 1;
-        arena_srcs.(pos) <- src;
-        arena_pay.(pos) <- pay.(i)
-      done;
-      arena_tbl := c.sends
-    in
     (* This round's inbox of node [id], as the old assoc-list shape (for
        the adversary's view only — honest nodes read the window). *)
     let segment_list id =
@@ -667,7 +772,7 @@ module Make (P : Protocol.S) = struct
     (* The round's expanded honest sends (after crash filtering), packed;
        doubles as the adversary's observation and the routing work list. *)
     let honest_buf = c.honest_buf in
-    let expand_outbox ~round ~src =
+    let expand_per_recipient ~round ~src =
       let reach = cfg.Config.reach_arr.(src) in
       let olen = Outbox.length outbox in
       for i = 0 to olen - 1 do
@@ -707,6 +812,21 @@ module Make (P : Protocol.S) = struct
         end
       done
     in
+    (* A sender that delivers to everyone this round and only broadcasts
+       pushes one row per broadcast (see the header). *)
+    let expand_outbox ~round ~src =
+      if
+        row_delay > 0
+        && Config.delivers_all cfg ~src ~round
+        && Outbox.only_broadcasts outbox
+      then
+        for i = 0 to Outbox.length outbox - 1 do
+          buf_push_row honest_buf
+            ((src lsl dst_bits) lor id_mask)
+            (intern c.sends (Obj.repr (Outbox.msg outbox i)))
+        done
+      else expand_per_recipient ~round ~src
+    in
     (* One reusable adversary view per run (the indexed-window analogue of
        the inbox): [round]/[sent_len] are refreshed each round, accessors
        read the live send buffer and arena, so observation is free until
@@ -716,15 +836,21 @@ module Make (P : Protocol.S) = struct
         Adversary.round = 0;
         sent_len = 0;
         sent_src = (fun i -> (honest_buf.meta.(i) lsr dst_bits) land id_mask);
-        sent_dst = (fun i -> honest_buf.meta.(i) land id_mask);
+        sent_dst =
+          (fun i ->
+            let m = honest_buf.meta.(i) in
+            if is_row m then Outbox.broadcast_dst else m land id_mask);
         sent_msg =
-          (fun i -> (Obj.obj c.sends.slots.(honest_buf.pay.(i)) : P.msg));
+          (fun i -> (Obj.obj c.sends.slots.(c.honest_buf.pay.(i)) : P.msg));
         byz_inbox = segment_list;
         in_flight =
           (fun () ->
             Sched.fold pending
               (fun acc r m ->
-                (r, (m lsr dst_bits) land id_mask, m land id_mask) :: acc)
+                let src = (m lsr dst_bits) land id_mask in
+                if is_row m then
+                  List.init n (fun dst -> (r, src, dst)) @ acc
+                else (r, src, m land id_mask) :: acc)
               []
             |> List.sort compare);
         byzantine;
@@ -742,7 +868,13 @@ module Make (P : Protocol.S) = struct
          let b = Sched.take pending round in
          have_inbox := b.blen > 0;
          if !have_inbox then begin
-           sort_into_arena b;
+           if b.rows = 0 then sort_by_dst c ~n b
+           else if b.rows = b.blen then sort_by_src c ~n b
+           else
+             (* The send buffer is idle from routing until step 3 clears
+                it, so it holds the expansion. *)
+             sort_by_dst c ~n (expand_rows ~n b ~into:honest_buf);
+           arena_tbl := c.sends;
            Sched.release pending b;
            Inbox.set_arena inbox ~srcs:c.arena_srcs ~pays:c.arena_pay
              ~table:!arena_tbl.slots
@@ -821,19 +953,34 @@ module Make (P : Protocol.S) = struct
              route ~round ~attempt:0 ~src:p.Adversary.src ~dst:p.Adversary.dst
                (intern c.sends (Obj.repr p.Adversary.msg)))
            plans;
-         for i = 0 to honest_buf.blen - 1 do
-           let m = honest_buf.meta.(i) in
-           route ~round ~attempt:0
-             ~src:((m lsr dst_bits) land id_mask)
-             ~dst:(m land id_mask) honest_buf.pay.(i)
-         done;
-         Trace.record_round tb ~honest_sent:honest_buf.blen
+         if honest_buf.rows = 0 then
+           for i = 0 to honest_buf.blen - 1 do
+             let m = honest_buf.meta.(i) in
+             route ~round ~attempt:0
+               ~src:((m lsr dst_bits) land id_mask)
+               ~dst:(m land id_mask) honest_buf.pay.(i)
+           done
+         else begin
+           (* Rows imply the constant delay, which [route] would assign
+              to every delivery without a draw. *)
+           let arrival = round + row_delay in
+           if arrival < max_rounds then
+             for i = 0 to honest_buf.blen - 1 do
+               let m = honest_buf.meta.(i) in
+               let pay = honest_buf.pay.(i) in
+               if is_row m then Sched.push_row pending arrival m pay
+               else Sched.push pending arrival m pay
+             done
+         end;
+         (* A row counts as the n deliveries it stands for. *)
+         let honest_sent = honest_buf.blen + (honest_buf.rows * (n - 1)) in
+         Trace.record_round tb ~honest_sent
            ~byz_sent:(List.length plans) ~dropped:!dropped
            ~duplicated:!duplicated ~retransmitted:!retransmitted;
          if debugging then
            Log.debug (fun m ->
                m "%s: round %d sent honest=%d byzantine=%d dropped=%d (%s)"
-                 P.name round honest_buf.blen (List.length plans) !dropped
+                 P.name round honest_sent (List.length plans) !dropped
                  adversary.Adversary.name);
          if !undecided_honest = 0 then raise Exit;
          (* Fast-forward: when nothing is in flight, no timer can fire, the

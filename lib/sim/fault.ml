@@ -58,6 +58,13 @@ let compiled_delivers compiled ~round ~dst =
       else if round > at_round then false
       else mask.(dst)
 
+(* Whether every message sent at [round] reaches every recipient: the
+   engine's test for delivering a broadcast as one row. *)
+let compiled_delivers_all compiled ~round =
+  match compiled with
+  | All -> true
+  | Crashed { at_round; _ } -> round < at_round
+
 let pp ppf = function
   | Honest -> Fmt.string ppf "honest"
   | Byzantine -> Fmt.string ppf "byzantine"

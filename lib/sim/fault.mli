@@ -30,4 +30,8 @@ val compiled_delivers : compiled -> round:int -> dst:Types.node_id -> bool
 (** Agrees with {!delivers} on every ([round], [dst]) for the plan it was
     compiled from (pinned by a qcheck property in the test suite). *)
 
+val compiled_delivers_all : compiled -> round:int -> bool
+(** Whether {!compiled_delivers} holds for every [dst] at [round]: the
+    plan is not a crash, or [round] precedes the crash round. *)
+
 val pp : t Fmt.t

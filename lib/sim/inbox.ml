@@ -10,6 +10,12 @@
    send however many recipients it has.  One view value is reused for
    all nodes of all rounds, so reading an inbox allocates nothing.
 
+   Windows may overlap.  When every arrival of a round is a broadcast
+   to every node (the engine's rows), the arena holds each broadcast
+   once, sorted by sender, and every node's window is the whole arena;
+   otherwise each recipient has a window of its own.  The entries a
+   node reads are the same either way.
+
    Like {!Outbox.t}, the payload table is untyped [Obj.t] storage; the
    phantom parameter guarantees reader and writer agree on 'msg.  Views
    are transient: they are only valid for the duration of the

@@ -2,7 +2,9 @@
 
     A {!Protocol.S} step receives its round's arrivals as an indexed
     window over the engine's per-round delivery arena, whose entries
-    index a payload table holding each message once per send.  Entries appear
+    index a payload table holding each message once per send.  Nodes'
+    windows may overlap: in a round whose arrivals are all broadcasts
+    to every node, all nodes share one window.  Entries appear
     in the engine's deterministic inbox order: sorted by sender id,
     ties in scheduling order (exactly the order the old assoc-list
     inboxes had).  Reading a view allocates nothing.

@@ -69,6 +69,11 @@ let dst t i = t.dsts.(i)
 let is_broadcast t i = t.dsts.(i) = broadcast_dst
 let msg (t : 'msg t) i : 'msg = Obj.obj t.msgs.(i)
 
+let rec broadcasts_from t i =
+  i = t.len || (t.dsts.(i) = broadcast_dst && broadcasts_from t (i + 1))
+
+let only_broadcasts t = broadcasts_from t 0
+
 let iter f t =
   for i = 0 to t.len - 1 do
     f ~dst:t.dsts.(i) (msg t i)

@@ -41,6 +41,9 @@ val dst : 'msg t -> int -> int
 
 val is_broadcast : 'msg t -> int -> bool
 
+val only_broadcasts : 'msg t -> bool
+(** Whether every entry is a broadcast (true for an empty outbox). *)
+
 val msg : 'msg t -> int -> 'msg
 (** Message of entry [i]. *)
 

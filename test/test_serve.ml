@@ -331,9 +331,10 @@ let test_chan_split_line () =
   Unix.close w
 
 (* One client streaming 8 MiB without a newline is disconnected once its
-   partial line passes [Chan.max_line]; another client is still served. *)
+   partial line passes [Chan.max_line], and counted; another client is
+   still served, and its [status] reports the disconnect. *)
 let test_endless_line_disconnected () =
-  let (status : bool), _ =
+  let reported, outcome =
     with_server ~batch:2 (fun path ->
         let flood = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
         Unix.connect flood (Unix.ADDR_UNIX path);
@@ -367,13 +368,14 @@ let test_endless_line_disconnected () =
           (outcome = `Disconnected || eof);
         Unix.close flood;
         let conn = Client.connect_unix ~retry_for:10. path in
-        let served =
+        let reported =
           match
             Client.request conn ~id:(Json.String "s") ~meth:"status"
               (Json.Obj [])
           with
-          | Ok (Json.Obj _) -> true
-          | Ok _ | Error _ -> false
+          | Ok (Json.Obj fields) ->
+              List.assoc_opt "long_line_disconnects" fields
+          | Ok _ | Error _ -> None
         in
         (match
            Client.request conn ~id:(Json.String "q") ~meth:"shutdown"
@@ -382,9 +384,13 @@ let test_endless_line_disconnected () =
         | Ok _ -> ()
         | Error msg -> Alcotest.failf "shutdown: %s" msg);
         Client.close conn;
-        served)
+        reported)
   in
-  check_bool "second client served" true status
+  check (Alcotest.option Alcotest.string) "second client served, status \
+     reports the disconnect" (Some "1")
+    (Option.map Json.to_string reported);
+  check_int "long-line disconnects" 1 outcome.Server.long_line_disconnects;
+  check_int "no slow disconnects" 0 outcome.Server.slow_disconnects
 
 let test_listen_unix_socket_hygiene () =
   (* A live daemon on the path: claiming it must fail loudly. *)
@@ -426,6 +432,48 @@ let await_follower_height ~timeout conn target =
         poll ()
   in
   poll ()
+
+(* A primary that has stopped serving but not yet closed its listener
+   still completes connects into the listen backlog.  Such a link never
+   answers the [catchup], so it must not count as a resync. *)
+let test_unaccepted_connect_not_a_catchup () =
+  let path_p = fresh_path () and path_f = fresh_path () in
+  let listen_p = Server.listen_unix path_p in
+  let listen_f = Server.listen_unix path_f in
+  let follower =
+    Domain.spawn (fun () ->
+        Replica.run ~batch:4 ~retry_every:0.05
+          ~primary:(Unix.ADDR_UNIX path_p) ~listen:listen_f (cfg ()))
+  in
+  let fconn = Client.connect_unix ~retry_for:10. path_f in
+  let connected () =
+    match Client.status fconn with
+    | Ok (Json.Obj fields) -> List.assoc_opt "primary_connected" fields
+    | _ -> None
+  in
+  let rec await want deadline =
+    if connected () = Some (Json.Bool want) then true
+    else if Unix.gettimeofday () > deadline then false
+    else begin
+      Unix.sleepf 0.02;
+      await want deadline
+    end
+  in
+  check_bool "connect landed in the backlog" true
+    (await true (Unix.gettimeofday () +. 10.));
+  Unix.close listen_p;
+  check_bool "link dropped with the listener" true
+    (await false (Unix.gettimeofday () +. 10.));
+  (match
+     Client.request fconn ~id:(Json.String "s") ~meth:"shutdown" (Json.Obj [])
+   with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "follower shutdown: %s" msg);
+  let f_out = Domain.join follower in
+  check_int "no catchup counted" 0 f_out.Replica.catchups;
+  Client.close fconn;
+  Unix.close listen_f;
+  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ path_p; path_f ]
 
 let test_follower_replicates () =
   let path_p = fresh_path () and path_f = fresh_path () in
@@ -611,6 +659,8 @@ let () =
         [
           Alcotest.test_case "follower replicates the primary" `Quick
             test_follower_replicates;
+          Alcotest.test_case "unaccepted connect is not a catchup" `Quick
+            test_unaccepted_connect_not_a_catchup;
         ] );
       ( "backoff",
         [

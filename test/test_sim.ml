@@ -663,6 +663,93 @@ let test_payloads_do_not_outlive_run () =
   check_bool "aborted run tracked payloads" true (!ntracked > 10);
   check_int "no payload reachable after an aborted run" 0 (live_upto max_int)
 
+(* --- row delivery --- *)
+
+(* On the complete graph, with reliable links and a Synchronous or Fixed
+   delay, a broadcast from a sender that reaches everyone travels through
+   the engine as one row.  A schedule assigning the same constant delay
+   ([Adversarial]) takes the per-recipient path instead; nothing
+   observable may differ between the two: outputs, decision rounds and
+   the trace. *)
+let per_recipient_delay d =
+  Delay.Adversarial { bound = d; schedule = (fun ~round:_ ~src:_ ~dst:_ -> d) }
+
+let row_cases =
+  let sync = (Delay.Synchronous, per_recipient_delay 1) in
+  [
+    ( "phase-king n=64 collude-second",
+      sync,
+      fun delay ->
+        let o = Vv_ballot.Option_id.of_int in
+        Runner.simple_spec ~protocol:Runner.Algo1 ~bb:Vv_bb.Bb.Phase_king
+          ~strategy:Vv_core.Strategy.Collude_second ~delay ~t:21 ~f:21
+          (List.init 43 (fun i -> o (if i < 30 then 0 else 1 + (i mod 2)))) );
+    ( "dolev-strong n=7 mid-broadcast crash",
+      sync,
+      fun delay ->
+        Runner.spec ~byzantine:[ 5 ] ~crash:[ (6, 1, [ 0; 2 ]) ]
+          ~bb:Vv_bb.Bb.Dolev_strong ~delay ~n:7 ~t:2
+          (honest_inputs [ 0; 0; 0; 1; 1; 2; 1 ]) );
+    ( "eig n=4",
+      sync,
+      fun delay ->
+        Runner.spec ~byzantine:[ 3 ] ~bb:Vv_bb.Bb.Eig ~delay ~n:4 ~t:1
+          (honest_inputs [ 0; 0; 1; 0 ]) );
+    ( "plain phase 1 (cft) with a crash",
+      sync,
+      fun delay ->
+        Runner.spec ~crash:[ (4, 1, [ 0; 2 ]) ] ~protocol:Runner.Cft ~delay
+          ~n:5 ~t:1
+          (honest_inputs [ 0; 0; 0; 1; 1 ]) );
+    ( "algorithm 4 local broadcast",
+      sync,
+      fun delay ->
+        Runner.simple_spec ~protocol:Runner.Algo4_local
+          ~strategy:Vv_core.Strategy.Collude_second ~delay ~t:3 ~f:3
+          (honest_inputs [ 0; 0; 0; 0; 0; 1 ]) );
+    ( "dolev-strong fixed 2",
+      (Delay.Fixed 2, per_recipient_delay 2),
+      fun delay ->
+        Runner.simple_spec ~bb:Vv_bb.Bb.Dolev_strong ~delay ~seed:29 ~t:2 ~f:2
+          (honest_inputs [ 1; 1; 0; 2; 1 ]) );
+  ]
+
+let test_rows_equal_per_recipient () =
+  List.iter
+    (fun (name, (rows, per_recipient), spec) ->
+      let run delay = render_outcome (Runner.run_checked (spec delay)) in
+      let got = run rows in
+      check_bool (name ^ ": runs") false
+        (String.starts_with ~prefix:"invalid: " got);
+      check Alcotest.string name (run per_recipient) got)
+    row_cases
+
+(* The row path is really taken: in round 0 every honest node broadcasts
+   once, which the rushing adversary sees as one entry per send (a row,
+   [sent_dst] = [Outbox.broadcast_dst]) on the default configuration and
+   as one entry per delivery when the path is forced per recipient. *)
+let test_rows_taken () =
+  let observe delay =
+    let seen = ref [] in
+    let adversary =
+      Adversary.named "observer" (fun view ->
+          if view.Adversary.round = 0 then
+            seen := List.init view.Adversary.sent_len view.Adversary.sent_dst;
+          [])
+    in
+    let cfg = Config.with_byzantine ~delay ~n:4 ~t_max:1 [ 3 ] () in
+    let res = E.run cfg ~inputs:(fun id -> id) ~adversary () in
+    (!seen, render_flood res)
+  in
+  let row_dsts, rows = observe Delay.Synchronous in
+  let dsts, per_recipient = observe (per_recipient_delay 1) in
+  let ints = Alcotest.(list int) in
+  check ints "one row per send" (List.init 3 (fun _ -> Outbox.broadcast_dst))
+    row_dsts;
+  check ints "one entry per delivery" [ 0; 1; 2; 3; 0; 1; 2; 3; 0; 1; 2; 3 ]
+    dsts;
+  check Alcotest.string "same run" per_recipient rows
+
 let () =
   Alcotest.run "sim"
     [
@@ -708,5 +795,11 @@ let () =
           Alcotest.test_case "topology local-broadcast neighbourhood" `Quick
             test_topology_local_broadcast_neighbourhood;
           Alcotest.test_case "delay validation" `Quick test_delay_validation;
+        ] );
+      ( "rows",
+        [
+          Alcotest.test_case "row path equals per-recipient path" `Quick
+            test_rows_equal_per_recipient;
+          Alcotest.test_case "row path taken" `Quick test_rows_taken;
         ] );
     ]
