@@ -202,16 +202,6 @@ let bb_conv =
   in
   C.Arg.conv (parse, Vv_bb.Bb.pp)
 
-let inputs_conv =
-  let parse s =
-    try
-      Ok
-        (String.split_on_char ',' s
-        |> List.map (fun x -> Oid.of_int (int_of_string (String.trim x))))
-    with _ -> Error (`Msg "inputs must be a comma-separated list of ints")
-  in
-  C.Arg.conv (parse, fun ppf l -> Fmt.(list ~sep:comma Oid.pp) ppf l)
-
 let run_cmd =
   let doc = "Execute one consensus instance and report every property." in
   let protocol =
@@ -229,11 +219,14 @@ let run_cmd =
   in
   let t = C.Arg.(value & opt int 1 & info [ "t" ] ~doc:"Declared tolerance t.") in
   let f = C.Arg.(value & opt (some int) None & info [ "f" ] ~doc:"Actual Byzantine count (default t).") in
+  (* Parsed in [run], so a bad list exits 1 with the offending entry
+     named; the default prints in the form the parser reads back. *)
   let inputs =
     C.Arg.(value
-           & opt inputs_conv
-               (List.map Oid.of_int [ 0; 0; 0; 1; 1; 2; 3 ])
-           & info [ "inputs"; "i" ] ~doc:"Honest inputs, e.g. 0,0,0,1.")
+           & opt string
+               (Oid.list_to_string (List.map Oid.of_int [ 0; 0; 0; 1; 1; 2; 3 ]))
+           & info [ "inputs"; "i" ]
+               ~doc:"Honest inputs as letters or ints, e.g. A,A,A,B or 0,0,0,1.")
   in
   let delay_hi =
     C.Arg.(value & opt int 1
@@ -289,6 +282,13 @@ let run_cmd =
       Logs.set_reporter (Logs.format_reporter ());
       Logs.Src.set_level Vv_sim.Engine.log_src (Some Logs.Debug)
     end;
+    let inputs =
+      match Oid.list_of_string inputs with
+      | Ok l -> l
+      | Error msg ->
+          Fmt.epr "vvc run: --inputs %S: %s@." inputs msg;
+          exit 1
+    in
     let f = Option.value f ~default:t in
     let delay =
       if delay_hi <= 1 then Vv_sim.Delay.Synchronous

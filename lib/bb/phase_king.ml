@@ -17,7 +17,15 @@
    A round allocates nothing but its sends: the state is mutated in place
    (callers use the returned state, as with every sub-machine), and the
    Val count of round A runs in one scratch buffer per domain rather than
-   per node or per call. *)
+   per node or per call.
+
+   The round-A memo: the count is pure in the inbox — the first Val per
+   sender with the phase's number, then the plurality; it never reads
+   [me] — so on a stamped inbox (an exact image of one shared engine
+   window, {!Bb_intf.shared_decode}) it runs once.  The scratch keeps
+   the last result under its (stamp, phase) key, and every other
+   recipient of that window reads [maj] and [mult] from it: one count
+   per round instead of one per node. *)
 
 open Vv_sim
 
@@ -55,27 +63,78 @@ let start ~n:_ ~t:_ ~me ~sender ~value ~outbox =
 
 (* Round A's Val-count scratch, one per domain, grown to the largest n
    seen: [seen] marks senders already counted, [vals]/[cnts] the
-   distinct values and their counts.  A step uses it only within the
-   call, so nodes and runs on one domain share it safely. *)
+   distinct values and their counts.  A step uses them only within the
+   call, so nodes and runs on one domain share them safely.  [memo_*]
+   is the last count of a stamped inbox, keyed by its stamp and phase
+   ([memo_stamp] -1: none); stamps are never reissued, so a key match
+   means the same window. *)
 type scratch = {
   mutable seen : Bytes.t;
   mutable vals : int array;
   mutable cnts : int array;
+  mutable memo_stamp : int;
+  mutable memo_phase : int;
+  mutable memo_maj : int;
+  mutable memo_mult : int;
 }
 
 let scratch_key =
   Domain.DLS.new_key (fun () ->
-      { seen = Bytes.empty; vals = [||]; cnts = [||] })
+      {
+        seen = Bytes.empty;
+        vals = [||];
+        cnts = [||];
+        memo_stamp = -1;
+        memo_phase = 0;
+        memo_maj = Bb_intf.bottom;
+        memo_mult = 0;
+      })
 
-let scratch n =
-  let s = Domain.DLS.get scratch_key in
+(* The plurality of the first Val per sender of phase [k] in [inbox],
+   into [st.maj]/[st.mult]. *)
+let count_vals s ~n ~k st (inbox : msg Bb_intf.inbox) =
   if Array.length s.vals < n then begin
     s.seen <- Bytes.create n;
     s.vals <- Array.make n 0;
     s.cnts <- Array.make n 0
   end;
-  Bytes.fill s.seen 0 n '\000';
-  s
+  let { seen; vals; cnts; _ } = s in
+  Bytes.fill seen 0 n '\000';
+  (* One Val per sender per phase (first message wins), counted into
+     flat arrays — at most n distinct values, so the linear probe beats
+     a pair of hash tables at every simulated size. *)
+  let distinct = ref 0 in
+  for i = 0 to inbox.Bb_intf.len - 1 do
+    match inbox.Bb_intf.msgs.(i) with
+    | Val { phase; value } when phase = k -> (
+        let src = inbox.Bb_intf.srcs.(i) in
+        if Bytes.get seen src = '\000' then begin
+          Bytes.set seen src '\001';
+          let j = ref 0 in
+          while !j < !distinct && vals.(!j) <> value do
+            incr j
+          done;
+          if !j < !distinct then cnts.(!j) <- cnts.(!j) + 1
+          else begin
+            vals.(!distinct) <- value;
+            cnts.(!distinct) <- 1;
+            incr distinct
+          end
+        end)
+    | Val _ | King _ -> ()
+  done;
+  (* Plurality: highest count wins, ties to the smaller value — a
+     strict total order on (count, value), so the scan order cannot
+     matter and all honest nodes break ties identically. *)
+  st.maj <- Bb_intf.bottom;
+  st.mult <- 0;
+  for j = 0 to !distinct - 1 do
+    if cnts.(j) > st.mult || (cnts.(j) = st.mult && vals.(j) < st.maj)
+    then begin
+      st.maj <- vals.(j);
+      st.mult <- cnts.(j)
+    end
+  done
 
 let step ~n ~t ~me st ~lround ~inbox ~outbox =
   (* Local round layout: 1 = receive sender value, send Val(0);
@@ -97,42 +156,21 @@ let step ~n ~t ~me st ~lround ~inbox ~outbox =
   end
   else if lround mod 2 = 0 then begin
     let k = (lround - 2) / 2 in
-    (* One Val per sender per phase (first message wins), counted into
-       flat arrays — at most n distinct values, so the linear probe beats
-       a pair of hash tables at every simulated size. *)
-    let { seen; vals; cnts } = scratch n in
-    let distinct = ref 0 in
-    for i = 0 to inbox.Bb_intf.len - 1 do
-      match inbox.Bb_intf.msgs.(i) with
-      | Val { phase; value } when phase = k -> (
-          let src = inbox.Bb_intf.srcs.(i) in
-          if Bytes.get seen src = '\000' then begin
-            Bytes.set seen src '\001';
-            let j = ref 0 in
-            while !j < !distinct && vals.(!j) <> value do
-              incr j
-            done;
-            if !j < !distinct then cnts.(!j) <- cnts.(!j) + 1
-            else begin
-              vals.(!distinct) <- value;
-              cnts.(!distinct) <- 1;
-              incr distinct
-            end
-          end)
-      | Val _ | King _ -> ()
-    done;
-    (* Plurality: highest count wins, ties to the smaller value — a
-       strict total order on (count, value), so the scan order cannot
-       matter and all honest nodes break ties identically. *)
-    st.maj <- Bb_intf.bottom;
-    st.mult <- 0;
-    for j = 0 to !distinct - 1 do
-      if cnts.(j) > st.mult || (cnts.(j) = st.mult && vals.(j) < st.maj)
-      then begin
-        st.maj <- vals.(j);
-        st.mult <- cnts.(j)
+    let s = Domain.DLS.get scratch_key in
+    let stamp = inbox.Bb_intf.stamp in
+    if stamp >= 0 && s.memo_stamp = stamp && s.memo_phase = k then begin
+      st.maj <- s.memo_maj;
+      st.mult <- s.memo_mult
+    end
+    else begin
+      count_vals s ~n ~k st inbox;
+      if stamp >= 0 then begin
+        s.memo_stamp <- stamp;
+        s.memo_phase <- k;
+        s.memo_maj <- st.maj;
+        s.memo_mult <- st.mult
       end
-    done;
+    end;
     if me = king_of ~n k then
       Outbox.broadcast outbox (King { phase = k; value = st.maj });
     st

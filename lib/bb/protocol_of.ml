@@ -8,7 +8,9 @@
    stepping the sub-machine at the end of each batch — the standard
    timeout-per-round realisation of a synchronous protocol.  The engine's
    outbox is handed straight through to the sub-machine (its message type
-   is the wrapper's message type), so the wrapper adds no per-send cost. *)
+   is the wrapper's message type), so the wrapper adds no per-send cost.
+   At a batch boundary with an empty buffer, a shared engine window is
+   decoded once for all recipients ({!Bb_intf.shared_decode}). *)
 
 open Vv_sim
 
@@ -51,16 +53,27 @@ module Make (Sub : Bb_intf.S) :
       finished = false;
     }
 
+  (* Every wrapper message is the sub-machine's. *)
+  let push ib src m =
+    Bb_intf.inbox_push ib src m;
+    true
+
   let step (ctx : Protocol.ctx) st ~round ~inbox ~outbox =
     if st.finished then st
     else begin
-      for i = 0 to Inbox.length inbox - 1 do
-        Bb_intf.inbox_push st.buffer (Inbox.src inbox i) (Inbox.msg inbox i)
-      done;
-      if round mod st.delta = 0 then begin
+      let boundary = round mod st.delta = 0 in
+      let sub_inbox =
+        if boundary then Bb_intf.shared_decode inbox ~buffer:st.buffer ~push
+        else st.buffer
+      in
+      if sub_inbox.Bb_intf.stamp < 0 then
+        for i = 0 to Inbox.length inbox - 1 do
+          Bb_intf.inbox_push st.buffer (Inbox.src inbox i) (Inbox.msg inbox i)
+        done;
+      if boundary then begin
         let lround = round / st.delta in
         let sub =
-          Sub.step ~n:ctx.n ~t:ctx.t ~me:ctx.me st.sub ~lround ~inbox:st.buffer
+          Sub.step ~n:ctx.n ~t:ctx.t ~me:ctx.me st.sub ~lround ~inbox:sub_inbox
             ~outbox
         in
         Bb_intf.inbox_clear st.buffer;

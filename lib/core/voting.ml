@@ -55,7 +55,6 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
       variant : Variant.t;
       preference : Oid.t;
       delta : int;
-      bb_rounds : int;
       mutable bb : Sub.state;
       bb_buffer : Sub.msg Vv_bb.Bb_intf.inbox;
           (* arrivals of the current delta batch, in delivery order *)
@@ -124,7 +123,6 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
         variant = input.variant;
         preference = input.preference;
         delta;
-        bb_rounds = Sub.rounds ~n:ctx.n ~t:ctx.t;
         bb;
         bb_buffer = Vv_bb.Bb_intf.inbox_create ();
         sub_outbox;
@@ -152,61 +150,84 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
           Tally.Counter.add counter (Oid.of_int choice)
       done
 
+    (* A [Prepare]'s sub-machine message, for {!Vv_bb.Bb_intf.shared_decode}. *)
+    let push_prepare ib src = function
+      | Prepare b ->
+          Vv_bb.Bb_intf.inbox_push ib src b;
+          true
+      | Vote _ | Propose _ -> false
+
     let step (ctx : Protocol.ctx) st ~round ~inbox ~outbox =
-      (* Ingest — an indexed loop rather than [Inbox.iter] so a quiet
-         round allocates no closure. *)
-      for i = 0 to Inbox.length inbox - 1 do
-        let src = Inbox.src inbox i in
-        match Inbox.msg inbox i with
-        | Prepare b -> (
-            match st.subject with
-            | None -> Vv_bb.Bb_intf.inbox_push st.bb_buffer src b
-            | Some _ -> ())
-        | Vote { subject; choice } ->
-            if first_per_sender st.votes src subject choice then begin
-              match st.subject with
-              | Some s when subject = s ->
-                  Tally.Counter.add st.vote_tally choice;
-                  st.votes_dirty <- true
-              | Some _ | None -> ()
-            end
-        | Propose { subject; choice } ->
-            if first_per_sender st.proposes src subject choice then begin
-              match st.subject with
-              | Some s when subject = s ->
-                  Tally.Counter.add st.prop_tally choice;
-                  st.prop_dirty <- true
-              | Some _ | None -> ()
-            end
-      done;
-      (* Phase 1: progress the broadcast sub-machine (batched by delta). *)
       let no_subject =
         match st.subject with None -> true | Some _ -> false
       in
-      if no_subject && round mod st.delta = 0 then begin
+      (* A batch boundary of local rounds 1 .. [Sub.rounds]. *)
+      let bb_step =
+        no_subject
+        && round mod st.delta = 0
+        && round >= st.delta
+        && round <= Sub.rounds ~n:ctx.n ~t:ctx.t * st.delta
+      in
+      (* Phase 1's inbox: a shared window of Prepares is decoded once for
+         every recipient; otherwise the ingest below copies this node's
+         Prepares into its batch buffer. *)
+      let bb_inbox =
+        if bb_step then
+          Vv_bb.Bb_intf.shared_decode inbox ~buffer:st.bb_buffer
+            ~push:push_prepare
+        else st.bb_buffer
+      in
+      (* Ingest — an indexed loop rather than [Inbox.iter] so a quiet
+         round allocates no closure.  A shared decode covered every
+         entry. *)
+      if bb_inbox.Vv_bb.Bb_intf.stamp < 0 then
+        for i = 0 to Inbox.length inbox - 1 do
+          let src = Inbox.src inbox i in
+          match Inbox.msg inbox i with
+          | Prepare b -> (
+              match st.subject with
+              | None -> Vv_bb.Bb_intf.inbox_push st.bb_buffer src b
+              | Some _ -> ())
+          | Vote { subject; choice } ->
+              if first_per_sender st.votes src subject choice then begin
+                match st.subject with
+                | Some s when subject = s ->
+                    Tally.Counter.add st.vote_tally choice;
+                    st.votes_dirty <- true
+                | Some _ | None -> ()
+              end
+          | Propose { subject; choice } ->
+              if first_per_sender st.proposes src subject choice then begin
+                match st.subject with
+                | Some s when subject = s ->
+                    Tally.Counter.add st.prop_tally choice;
+                    st.prop_dirty <- true
+                | Some _ | None -> ()
+              end
+        done;
+      (* Phase 1: progress the broadcast sub-machine (batched by delta). *)
+      if bb_step then begin
         let lround = round / st.delta in
-        if lround >= 1 && lround <= st.bb_rounds then begin
-          let sub =
-            Sub.step ~n:ctx.n ~t:ctx.t ~me:ctx.me st.bb ~lround
-              ~inbox:st.bb_buffer ~outbox:st.sub_outbox
-          in
-          st.bb <- sub;
-          Vv_bb.Bb_intf.inbox_clear st.bb_buffer;
-          Outbox.transfer st.sub_outbox ~f:(fun m -> Prepare m) ~into:outbox;
-          if lround = st.bb_rounds then begin
-            let s = Sub.result sub in
-            st.subject <- Some s;
-            if s >= 0 then begin
-              (* Seed the cached tallies from everything that arrived before
-                 the subject was known. *)
-              tally_for st.vote_tally st.votes s;
-              tally_for st.prop_tally st.proposes s;
-              st.votes_dirty <- true;
-              st.prop_dirty <- true;
-              (* Phase 2: a valid subject triggers the vote (Line 7-9). *)
-              Outbox.broadcast outbox
-                (Vote { subject = s; choice = st.preference })
-            end
+        let sub =
+          Sub.step ~n:ctx.n ~t:ctx.t ~me:ctx.me st.bb ~lround
+            ~inbox:bb_inbox ~outbox:st.sub_outbox
+        in
+        st.bb <- sub;
+        Vv_bb.Bb_intf.inbox_clear st.bb_buffer;
+        Outbox.transfer st.sub_outbox ~f:(fun m -> Prepare m) ~into:outbox;
+        if lround = Sub.rounds ~n:ctx.n ~t:ctx.t then begin
+          let s = Sub.result sub in
+          st.subject <- Some s;
+          if s >= 0 then begin
+            (* Seed the cached tallies from everything that arrived before
+               the subject was known. *)
+            tally_for st.vote_tally st.votes s;
+            tally_for st.prop_tally st.proposes s;
+            st.votes_dirty <- true;
+            st.prop_dirty <- true;
+            (* Phase 2: a valid subject triggers the vote (Line 7-9). *)
+            Outbox.broadcast outbox
+              (Vote { subject = s; choice = st.preference })
           end
         end
       end;

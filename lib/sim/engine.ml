@@ -52,7 +52,11 @@
    are pushed, so the bucket picks its sort without testing entries:
    - no rows: the (dst, src) counting sort described at step 1;
    - only rows: a counting sort by sender into one window, and every
-     node's inbox is that window — O(n + rows) instead of O(n^2);
+     node's inbox is that window — O(n + rows) instead of O(n^2).  The
+     window carries a fresh {!Inbox.stamp}, so a protocol can also
+     reduce it once for all its recipients (Phase 1's decode and
+     Phase-King's Val count do) and the round's protocol work stays
+     O(n) as well;
    - mixed (an adversary's plans, a crash round or a unicasting sender
      share the bucket with rows): each row is expanded in place into its
      n deliveries and the bucket takes the (dst, src) sort.
@@ -78,9 +82,12 @@
    to a [context] that is reset on entry to [run_exn], not rebuilt: one
    per domain (in [Domain.DLS]), untyped so every [Make] instance
    shares it.  Release clears both payload tables and every state slot
-   so a finished run's payloads are unreachable, and a run started
-   while its domain's context is busy (nested inside an adversary's
-   [act]) gets a fresh one.  Together with the outbox/inbox-view
+   and detaches the inbox view, which also drops whatever a protocol
+   cached under a shared window's stamp ({!Inbox.on_detach}), so a
+   finished run's payloads are unreachable.  A run started while its
+   domain's context is busy (nested inside an adversary's [act]) gets a
+   fresh one; stamps come from a counter outside every context, so the
+   fresh one cannot reissue a stamp.  Together with the outbox/inbox-view
    protocol API this makes the steady-state round allocate almost
    nothing and per-run set-up cheap — both budgets are pinned by
    test_perf.ml, and every campaign golden is byte-identical to the
@@ -412,7 +419,7 @@ let release c =
   table_clear c.sends;
   table_clear c.twin;
   buf_clear c.honest_buf;
-  Inbox.set_arena c.inbox ~srcs:[||] ~pays:[||] ~table:[||];
+  Inbox.detach c.inbox;
   Outbox.clear c.outbox;
   Array.fill c.states 0 (Array.length c.states) dummy;
   c.busy <- false
@@ -868,8 +875,9 @@ module Make (P : Protocol.S) = struct
          let b = Sched.take pending round in
          have_inbox := b.blen > 0;
          if !have_inbox then begin
+           let shared = b.rows = b.blen in
            if b.rows = 0 then sort_by_dst c ~n b
-           else if b.rows = b.blen then sort_by_src c ~n b
+           else if shared then sort_by_src c ~n b
            else
              (* The send buffer is idle from routing until step 3 clears
                 it, so it holds the expansion. *)
@@ -877,7 +885,7 @@ module Make (P : Protocol.S) = struct
            arena_tbl := c.sends;
            Sched.release pending b;
            Inbox.set_arena inbox ~srcs:c.arena_srcs ~pays:c.arena_pay
-             ~table:!arena_tbl.slots
+             ~table:!arena_tbl.slots ~shared
          end;
          (* 2. fire retransmission timers due this round, in queue order.
             [take] detached the buffer from its bucket, so retries this

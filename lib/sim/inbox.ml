@@ -16,6 +16,18 @@
    otherwise each recipient has a window of its own.  The entries a
    node reads are the same either way.
 
+   A shared window carries a stamp: an int drawn afresh from one
+   process-wide counter, never reset, each time the engine attaches an
+   all-row arena, and -1 for any other window.  Every node stepping in
+   that round reads the same entries under the same stamp, and no other
+   window, in this run or any other (a run nested in an adversary's
+   [act] included), ever carries it.  A reader may therefore compute a
+   reduction that depends only on the window's entries once, keep it
+   under the stamp, and hand it to every later recipient of the round.
+   Such a cache may hold messages; the reader then registers, with
+   [on_detach], a function that drops them, which the engine calls when
+   the run ends.
+
    Like {!Outbox.t}, the payload table is untyped [Obj.t] storage; the
    phantom parameter guarantees reader and writer agree on 'msg.  Views
    are transient: they are only valid for the duration of the
@@ -28,21 +40,51 @@ type 'msg t = {
   mutable table : Obj.t array;  (* payloads, indexed by [pays] *)
   mutable off : int;
   mutable len : int;
+  mutable stamp : int;  (* the attached arena's, -1 unless shared *)
+  mutable on_detach : unit -> unit;
 }
 
-let create () = { srcs = [||]; pays = [||]; table = [||]; off = 0; len = 0 }
+let nothing () = ()
 
-let set_arena t ~srcs ~pays ~table =
+let create () =
+  {
+    srcs = [||];
+    pays = [||];
+    table = [||];
+    off = 0;
+    len = 0;
+    stamp = -1;
+    on_detach = nothing;
+  }
+
+(* Process-wide, so stamps stay distinct across runs, run contexts and
+   domains. *)
+let next_stamp = Atomic.make 0
+
+let set_arena t ~srcs ~pays ~table ~shared =
   t.srcs <- srcs;
   t.pays <- pays;
   t.table <- table;
-  t.len <- 0
+  t.len <- 0;
+  t.stamp <- (if shared then Atomic.fetch_and_add next_stamp 1 else -1)
 
 let set_view t ~off ~len =
   t.off <- off;
   t.len <- len
 
-let set_empty t = t.len <- 0
+let set_empty t =
+  t.len <- 0;
+  t.stamp <- -1
+
+let stamp t = t.stamp
+
+let on_detach t f = t.on_detach <- f
+
+let detach t =
+  set_arena t ~srcs:[||] ~pays:[||] ~table:[||] ~shared:false;
+  let f = t.on_detach in
+  t.on_detach <- nothing;
+  f ()
 
 let length t = t.len
 let is_empty t = t.len = 0

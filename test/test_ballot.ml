@@ -46,6 +46,32 @@ let test_sort_decomposition () =
       check_int "B count" 2 b_count;
       check_int "C total" 2 c_count
 
+(* Option names: what [to_string] prints, [of_string] reads back, and a
+   list prints and parses the way [vvc run -i] takes it, in letters or in
+   ints alike. *)
+let test_option_names () =
+  for i = 0 to 40 do
+    check_opt (Printf.sprintf "of_string (to_string %d)" i) (Some (o i))
+      (Option_id.of_string (Option_id.to_string (o i)));
+    check_opt (Printf.sprintf "of_string %S" (string_of_int i)) (Some (o i))
+      (Option_id.of_string (string_of_int i))
+  done;
+  List.iter
+    (fun bad -> check_opt bad None (Option_id.of_string bad))
+    [ ""; "I"; "a"; "-1"; "opt"; "optB"; "1.5"; "0x1"; " A" ];
+  let l = List.map o [ 0; 0; 0; 1; 1; 2; 3; 11 ] in
+  let printed = Option_id.list_to_string l in
+  check Alcotest.string "printed" "A,A,A,B,B,C,D,opt11" printed;
+  let parsed = check (Alcotest.result (Alcotest.list opt_testable) Alcotest.string) in
+  parsed "letters round-trip" (Ok l) (Option_id.list_of_string printed);
+  parsed "ints parse alike" (Ok l)
+    (Option_id.list_of_string "0, 0,0,1,1 ,2,3,11");
+  parsed "bad entry named"
+    (Error
+       "\"X\" is not an option (options are A-H, optN or a non-negative \
+        integer)")
+    (Option_id.list_of_string "A,X,3")
+
 let test_tie_break_conventions () =
   let t = Tally.of_list [ o 0; o 0; o 1; o 1 ] in
   check_opt "prefer larger" (Some (o 1))
@@ -638,6 +664,8 @@ let () =
           Alcotest.test_case "basics" `Quick test_tally_basics;
           Alcotest.test_case "sort decomposition" `Quick test_sort_decomposition;
           Alcotest.test_case "gap" `Quick test_gap;
+          Alcotest.test_case "option names round-trip" `Quick
+            test_option_names;
         ] );
       ( "tie-break",
         [ Alcotest.test_case "conventions" `Quick test_tie_break_conventions ] );

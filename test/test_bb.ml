@@ -401,6 +401,41 @@ let qcheck_cases =
       prop_auth_mem_signer;
     ]
 
+(* Phase-King's round-A memo.  The Val count of a stamped inbox (one
+   shared engine window, decoded once) is kept under (stamp, phase) and
+   read back by the window's other recipients; an unstamped inbox is one
+   node's own and is always counted.  Node 1 steps round A on [ib], then
+   round B with no king message: with 5 Vals of one value (mult 5 > (n +
+   2t) / 2) it keeps the round-A plurality, which [result] shows. *)
+let test_phase_king_memo () =
+  let module Pk = Vv_bb.Phase_king in
+  let module Bi = Vv_bb.Bb_intf in
+  let n = 5 and t = 1 in
+  let outbox = Outbox.create () in
+  let count ~stamp v =
+    let ib =
+      Bi.inbox_of_list
+        (List.init n (fun src -> (src, Pk.Val { phase = 0; value = v })))
+    in
+    ib.Bi.stamp <- stamp;
+    let st = Pk.start ~n ~t ~me:1 ~sender:0 ~value:None ~outbox in
+    let st = Pk.step ~n ~t ~me:1 st ~lround:2 ~inbox:ib ~outbox in
+    let st =
+      Pk.step ~n ~t ~me:1 st ~lround:3 ~inbox:(Bi.inbox_create ()) ~outbox
+    in
+    Outbox.clear outbox;
+    Pk.result st
+  in
+  (* Stamps no engine run reaches. *)
+  let s1 = max_int - 1 and s2 = max_int - 2 in
+  check_int "unstamped" 3 (count ~stamp:(-1) 3);
+  check_int "unstamped, counted afresh" 4 (count ~stamp:(-1) 4);
+  check_int "stamped" 5 (count ~stamp:s1 5);
+  check_int "same stamp: the window's count, not recounted" 5
+    (count ~stamp:s1 6);
+  check_int "new stamp: counted" 7 (count ~stamp:s2 7);
+  check_int "unstamped after stamped: counted" 2 (count ~stamp:(-1) 2)
+
 let () =
   Alcotest.run "bb"
     [
@@ -421,6 +456,8 @@ let () =
             test_delta_batching;
           Alcotest.test_case "delta batching (uniform delays)" `Quick
             test_uniform_delay_batching;
+          Alcotest.test_case "phase-king round-A memo" `Quick
+            test_phase_king_memo;
         ] );
       ( "auth",
         [

@@ -105,9 +105,10 @@ let test_run_allocation () =
    checks; the engine's buffers come from the domain's reused run
    context — so a regression in per-run construction or accounting shows
    up here even when the per-round budget above is untouched.  Measured
-   at 2,564 words (x86-64, OCaml 5.1.1); the budget leaves about 11% of
-   slack. *)
-let words_per_run_budget = 2_850
+   at 2,492 words (x86-64, OCaml 5.1.1; Phase 1 decodes each shared
+   window once instead of growing a batch buffer per node); the budget
+   leaves about 11% of slack. *)
+let words_per_run_budget = 2_775
 
 let checked_spec =
   let module Runner = Vv_core.Runner in
@@ -147,9 +148,9 @@ let test_checked_run_allocation () =
    once over Dolev-Strong.  Each of the run's ~32,000 deliveries crosses
    the engine, the sub-machine inbox and the vote counters, so any
    per-delivery or per-vote allocation multiplies into these budgets.
-   Measured warm at 53,344 (Phase-King) and 61,022 (Dolev-Strong) words
+   Measured warm at 42,680 (Phase-King) and 50,358 (Dolev-Strong) words
    (x86-64, OCaml 5.1.1); each budget leaves about 11% of slack. *)
-let n64_budgets = [ (Vv_bb.Bb.Phase_king, 59_000); (Vv_bb.Bb.Dolev_strong, 67_500) ]
+let n64_budgets = [ (Vv_bb.Bb.Phase_king, 47_500); (Vv_bb.Bb.Dolev_strong, 56_000) ]
 
 let n64_spec bb =
   let o = Vv_ballot.Option_id.of_int in

@@ -621,6 +621,100 @@ end
 
 module EB = Engine.Make (Boxed)
 
+(* One tracked broadcast per node and round, then at [last_round] a burst
+   of twenty each, and a decision.  Under [Fixed 2] deliveries are always
+   in flight, so the payload table never flips: the burst grows it while
+   the last delivering round's inbox view still holds the array it had
+   before, which only the view's detach at the end of the run lets go. *)
+module Burst = struct
+  include Boxed
+
+  let name = "burst"
+  let last_round = 4
+
+  let step (ctx : Protocol.ctx) st ~round ~inbox ~outbox =
+    for i = 0 to Inbox.length inbox - 1 do
+      st.sum <- st.sum + (Inbox.msg inbox i).round
+    done;
+    let sends = if round < last_round then 1 else 20 in
+    for _ = 1 to sends do
+      send ~me:ctx.me ~round outbox
+    done;
+    if round = last_round then st.finished <- true;
+    st
+end
+
+module EBurst = Engine.Make (Burst)
+
+(* Phase 1's embedders, whose batch-boundary steps decode each shared
+   window once into a per-domain inbox: Voting over Phase-King and over
+   Dolev-Strong, and Phase-King run on its own. *)
+module PK = Vv_bb.Phase_king
+module Pof_pk = Vv_bb.Protocol_of.Make (PK)
+module E_pof = Engine.Make (Pof_pk)
+
+(* Outputs, decision rounds and the trace of one engine run. *)
+let render_run outputs decision_round trace =
+  Fmt.str "%a|%a|%s|%s"
+    Fmt.(Dump.array (Dump.option string))
+    outputs
+    Fmt.(Dump.array (Dump.option int))
+    decision_round (Trace.to_csv trace)
+    (Vv_prelude.Json.to_string (Trace.to_json trace))
+
+let n9_faults ?crash byzantine =
+  Array.init 9 (fun id ->
+      if List.mem id byzantine then Fault.Byzantine
+      else
+        match crash with
+        | Some (c, at_round, deliver_to) when c = id ->
+            Fault.Crash { at_round; deliver_to }
+        | Some _ | None -> Fault.Honest)
+
+(* Algorithm 1 over [Sub] on n = 9, t = 2, nodes 7 and 8 Byzantine, the
+   subject [subject] at [speaker]. *)
+module Voting_of (Sub : Vv_bb.Bb_intf.S) = struct
+  include Vv_core.Voting.Make (Sub)
+
+  let render ~speaker ~subject ~adversary delay =
+    let cfg =
+      Config.make ~faults:(n9_faults [ 7; 8 ]) ~delay ~n:9 ~t_max:2 ()
+    in
+    let inputs id =
+      {
+        variant = Vv_core.Variant.algo1;
+        speaker;
+        subject;
+        preference = Vv_ballot.Option_id.of_int (if id < 5 then 0 else 1);
+      }
+    in
+    match E.run cfg ~inputs ~adversary () with
+    | Error (`Invalid_adversary reason) -> "invalid: " ^ reason
+    | Ok res ->
+        render_run
+          (Array.map (Option.map Vv_ballot.Option_id.to_string) res.E.outputs)
+          res.E.decision_round res.E.trace
+end
+
+module V_pk = Voting_of (PK)
+module V_ds = Voting_of (Vv_bb.Dolev_strong)
+
+(* Any payload block, tracked like [track]'s. *)
+let tracked_any : Obj.t Weak.t = Weak.create 4096
+let ntracked_any = ref 0
+
+let track_any m =
+  Weak.set tracked_any !ntracked_any (Some (Obj.repr m));
+  incr ntracked_any
+
+let live_any () =
+  Gc.full_major ();
+  let live = ref 0 in
+  for i = 0 to !ntracked_any - 1 do
+    if Weak.check tracked_any i then incr live
+  done;
+  !live
+
 let test_payloads_do_not_outlive_run () =
   ntracked := 0;
   Boxed.stale_mid_run := -1;
@@ -661,7 +755,47 @@ let test_payloads_do_not_outlive_run () =
   | Error (`Invalid_adversary _) -> ()
   | Ok _ -> Alcotest.fail "impersonation accepted");
   check_bool "aborted run tracked payloads" true (!ntracked > 10);
-  check_int "no payload reachable after an aborted run" 0 (live_upto max_int)
+  check_int "no payload reachable after an aborted run" 0 (live_upto max_int);
+  (* The payload table grows during the last delivering round. *)
+  ntracked := 0;
+  let cfg = Config.make ~delay:(Delay.Fixed 2) ~n:4 ~t_max:1 () in
+  let res = EBurst.run_exn cfg ~inputs:(fun _ -> ()) () in
+  check_bool "burst run decides at its burst" true
+    (Array.for_all (( = ) (Some Burst.last_round)) res.EBurst.decision_round);
+  check_bool "burst outgrows the table" true (!ntracked > 64);
+  check_int "no payload reachable after a burst" 0 (live_upto max_int);
+  (* Voting over Phase-King on the row path: every Phase-1 message the
+     honest nodes send, and the sub-machine message inside it, which the
+     shared decode held. *)
+  ntracked_any := 0;
+  let rows = ref 0 and sent = ref 0 in
+  let adversary =
+    Adversary.named "tracker" (fun view ->
+        for i = 0 to view.Adversary.sent_len - 1 do
+          incr sent;
+          if view.Adversary.sent_dst i = Outbox.broadcast_dst then incr rows;
+          match view.Adversary.sent_msg i with
+          | V_pk.Prepare m as p ->
+              track_any p;
+              track_any m
+          | V_pk.Vote _ | V_pk.Propose _ -> ()
+        done;
+        [])
+  in
+  let cfg = Config.with_byzantine ~n:9 ~t_max:2 [ 8 ] () in
+  let inputs id =
+    {
+      V_pk.variant = Vv_core.Variant.algo1;
+      speaker = 0;
+      subject = 3;
+      preference = Vv_ballot.Option_id.of_int (if id < 6 then 0 else 1);
+    }
+  in
+  let res = V_pk.E.run_exn cfg ~inputs ~adversary () in
+  check_bool "voting run decides" true
+    (List.for_all Option.is_some (V_pk.E.honest_outputs res));
+  check_bool "every send travelled as a row" true (!rows > 0 && !rows = !sent);
+  check_int "no decoded payload reachable after a run" 0 (live_any ())
 
 (* --- row delivery --- *)
 
@@ -674,50 +808,178 @@ let test_payloads_do_not_outlive_run () =
 let per_recipient_delay d =
   Delay.Adversarial { bound = d; schedule = (fun ~round:_ ~src:_ ~dst:_ -> d) }
 
+let outcome spec delay = render_outcome (Runner.run_checked (spec delay))
+
+(* Phase 1 on n = 9, t = 2, Byzantine node 8 the sender, which
+   equivocates at round 0 (bottom to nodes 0-3, 2 to the rest); at round
+   1 nodes 7 and 8 send every node a phase-0 Val of 2, which tips the
+   plurality from bottom to 2 (so Voting gets a subject and decides).  Under
+   [Fixed 2] those Vals arrive at round 3, between batch boundaries, so
+   they wait in each node's batch buffer while the next boundary's
+   window holds only honest rows: that window may not be taken as the
+   whole batch.  [wrap] makes a Phase-King message the protocol's. *)
+let pk_equivocate wrap =
+  Adversary.named "pk-equivocate" (fun view ->
+      match view.Adversary.round with
+      | 0 ->
+          List.init 9 (fun dst ->
+              let value = if dst < 4 then Vv_bb.Bb_intf.bottom else 2 in
+              { Adversary.src = 8; dst; msg = wrap (PK.Val { phase = -1; value }) })
+      | 1 ->
+          List.concat_map
+            (fun src ->
+              List.init 9 (fun dst ->
+                  {
+                    Adversary.src;
+                    dst;
+                    msg = wrap (PK.Val { phase = 0; value = 2 });
+                  }))
+            [ 7; 8 ]
+      | _ -> [])
+
+(* [Protocol_of (Phase_king)] from [sender] with [value]. *)
+let pof_run ?crash ?(byzantine = [ 8 ]) ?(adversary = Adversary.passive)
+    ~sender ~value delay =
+  let cfg = Config.make ~faults:(n9_faults ?crash byzantine) ~delay ~n:9 ~t_max:2 () in
+  let inputs id =
+    {
+      Vv_bb.Protocol_of.sender;
+      value = (if id = sender then Some value else None);
+    }
+  in
+  match E_pof.run cfg ~inputs ~adversary () with
+  | Error (`Invalid_adversary reason) -> "invalid: " ^ reason
+  | Ok res ->
+      render_run
+        (Array.map (Option.map string_of_int) res.E_pof.outputs)
+        res.E_pof.decision_round res.E_pof.trace
+
+(* An outer run whose adversary, at round [at], runs [inner] from inside
+   [act]: the nested run's fresh context must not reissue a stamp the
+   outer run goes on to use.  Run in a fresh domain, whose contexts are
+   all new.  For [Protocol_of (Phase_king)] at round 2t + 1, the outer
+   run's next round is round A of the last phase, as was the nested
+   run's last stamped count. *)
+let nested ~at ~outer ~inner delay =
+  Domain.join
+    (Domain.spawn (fun () ->
+         let inside = ref "" in
+         let adversary =
+           Adversary.named "nesting" (fun view ->
+               if view.Adversary.round = at then inside := inner delay;
+               [])
+         in
+         let out = outer adversary delay in
+         out ^ "\n" ^ !inside))
+
+let fixed2 = (Delay.Fixed 2, per_recipient_delay 2)
+
+let pof_nested =
+  nested ~at:5
+    ~outer:(fun adversary d -> pof_run ~adversary ~sender:0 ~value:6 d)
+    ~inner:(fun d -> pof_run ~sender:1 ~value:3 d)
+
+(* Algorithm 1 ([render] of a [Voting_of]) nesting another run, whose
+   speaker and subject differ. *)
+let voting_nested render ~at =
+  nested ~at
+    ~outer:(fun adversary d -> render ~speaker:0 ~subject:4 ~adversary d)
+    ~inner:(fun d -> render ~speaker:1 ~subject:9 ~adversary:Adversary.passive d)
+
+(* Each case: a name, its (row path, per-recipient path) delays, and a
+   run rendered to a string. *)
 let row_cases =
   let sync = (Delay.Synchronous, per_recipient_delay 1) in
+  let o = Vv_ballot.Option_id.of_int in
+  let voting_pk ?crash ~subject delay =
+    Runner.spec ~byzantine:[ 8 ] ?crash ~bb:Vv_bb.Bb.Phase_king
+      ~strategy:Vv_core.Strategy.Collude_second ~subject ~delay ~n:9 ~t:2
+      (honest_inputs [ 0; 1; 0; 2; 0; 1; 0; 0; 0 ])
+  in
   [
     ( "phase-king n=64 collude-second",
       sync,
-      fun delay ->
-        let o = Vv_ballot.Option_id.of_int in
-        Runner.simple_spec ~protocol:Runner.Algo1 ~bb:Vv_bb.Bb.Phase_king
-          ~strategy:Vv_core.Strategy.Collude_second ~delay ~t:21 ~f:21
-          (List.init 43 (fun i -> o (if i < 30 then 0 else 1 + (i mod 2)))) );
+      outcome (fun delay ->
+          Runner.simple_spec ~protocol:Runner.Algo1 ~bb:Vv_bb.Bb.Phase_king
+            ~strategy:Vv_core.Strategy.Collude_second ~delay ~t:21 ~f:21
+            (List.init 43 (fun i -> o (if i < 30 then 0 else 1 + (i mod 2))))) );
+    ("phase-king n=9", sync, outcome (fun d -> voting_pk ~subject:5 d));
+    ( "phase-king n=9 fixed 2",
+      fixed2,
+      outcome (fun d -> voting_pk ~subject:6 d) );
+    ( "phase-king n=9 crash in phase 1",
+      sync,
+      outcome (fun d -> voting_pk ~crash:[ (6, 3, [ 0; 2; 4 ]) ] ~subject:7 d)
+    );
+    ( "phase-king equivocating speaker",
+      sync,
+      V_pk.render ~speaker:8 ~subject:0
+        ~adversary:(pk_equivocate (fun m -> V_pk.Prepare m)) );
+    ( "phase-king equivocating speaker, fixed 2",
+      fixed2,
+      V_pk.render ~speaker:8 ~subject:0
+        ~adversary:(pk_equivocate (fun m -> V_pk.Prepare m)) );
+    ( "dolev-strong n=7",
+      sync,
+      outcome (fun delay ->
+          Runner.spec ~byzantine:[ 6 ] ~bb:Vv_bb.Bb.Dolev_strong
+            ~strategy:Vv_core.Strategy.Collude_second ~subject:3 ~delay ~n:7
+            ~t:2
+            (honest_inputs [ 1; 0; 1; 1; 2; 1; 0 ])) );
     ( "dolev-strong n=7 mid-broadcast crash",
       sync,
-      fun delay ->
-        Runner.spec ~byzantine:[ 5 ] ~crash:[ (6, 1, [ 0; 2 ]) ]
-          ~bb:Vv_bb.Bb.Dolev_strong ~delay ~n:7 ~t:2
-          (honest_inputs [ 0; 0; 0; 1; 1; 2; 1 ]) );
+      outcome (fun delay ->
+          Runner.spec ~byzantine:[ 5 ] ~crash:[ (6, 1, [ 0; 2 ]) ]
+            ~bb:Vv_bb.Bb.Dolev_strong ~delay ~n:7 ~t:2
+            (honest_inputs [ 0; 0; 0; 1; 1; 2; 1 ])) );
+    ( "dolev-strong fixed 2",
+      fixed2,
+      outcome (fun delay ->
+          Runner.simple_spec ~bb:Vv_bb.Bb.Dolev_strong ~delay ~seed:29 ~t:2
+            ~f:2
+            (honest_inputs [ 1; 1; 0; 2; 1 ])) );
     ( "eig n=4",
       sync,
-      fun delay ->
-        Runner.spec ~byzantine:[ 3 ] ~bb:Vv_bb.Bb.Eig ~delay ~n:4 ~t:1
-          (honest_inputs [ 0; 0; 1; 0 ]) );
+      outcome (fun delay ->
+          Runner.spec ~byzantine:[ 3 ] ~bb:Vv_bb.Bb.Eig ~delay ~n:4 ~t:1
+            (honest_inputs [ 0; 0; 1; 0 ])) );
     ( "plain phase 1 (cft) with a crash",
       sync,
-      fun delay ->
-        Runner.spec ~crash:[ (4, 1, [ 0; 2 ]) ] ~protocol:Runner.Cft ~delay
-          ~n:5 ~t:1
-          (honest_inputs [ 0; 0; 0; 1; 1 ]) );
+      outcome (fun delay ->
+          Runner.spec ~crash:[ (4, 1, [ 0; 2 ]) ] ~protocol:Runner.Cft ~delay
+            ~n:5 ~t:1
+            (honest_inputs [ 0; 0; 0; 1; 1 ])) );
     ( "algorithm 4 local broadcast",
       sync,
-      fun delay ->
-        Runner.simple_spec ~protocol:Runner.Algo4_local
-          ~strategy:Vv_core.Strategy.Collude_second ~delay ~t:3 ~f:3
-          (honest_inputs [ 0; 0; 0; 0; 0; 1 ]) );
-    ( "dolev-strong fixed 2",
-      (Delay.Fixed 2, per_recipient_delay 2),
-      fun delay ->
-        Runner.simple_spec ~bb:Vv_bb.Bb.Dolev_strong ~delay ~seed:29 ~t:2 ~f:2
-          (honest_inputs [ 1; 1; 0; 2; 1 ]) );
+      outcome (fun delay ->
+          Runner.simple_spec ~protocol:Runner.Algo4_local
+            ~strategy:Vv_core.Strategy.Collude_second ~delay ~t:3 ~f:3
+            (honest_inputs [ 0; 0; 0; 0; 0; 1 ])) );
+    ("protocol_of phase-king", sync, fun d -> pof_run ~sender:0 ~value:4 d);
+    ("protocol_of phase-king fixed 2", fixed2, fun d -> pof_run ~sender:0 ~value:5 d);
+    ( "protocol_of phase-king crash in phase 1",
+      sync,
+      fun d -> pof_run ~crash:(6, 3, [ 0; 2; 4 ]) ~sender:0 ~value:7 d );
+    ( "protocol_of phase-king equivocating sender",
+      sync,
+      fun d ->
+        pof_run ~byzantine:[ 7; 8 ] ~adversary:(pk_equivocate Fun.id)
+          ~sender:8 ~value:0 d );
+    ( "protocol_of phase-king equivocating sender, fixed 2",
+      fixed2,
+      fun d ->
+        pof_run ~byzantine:[ 7; 8 ] ~adversary:(pk_equivocate Fun.id)
+          ~sender:8 ~value:0 d );
+    ("protocol_of phase-king nested run", sync, pof_nested);
+    ("protocol_of phase-king nested run, fixed 2", fixed2, pof_nested);
+    ("phase-king nested run", sync, voting_nested V_pk.render ~at:5);
+    ("phase-king nested run, fixed 2", fixed2, voting_nested V_pk.render ~at:10);
+    ("dolev-strong nested run", sync, voting_nested V_ds.render ~at:2);
   ]
 
 let test_rows_equal_per_recipient () =
   List.iter
-    (fun (name, (rows, per_recipient), spec) ->
-      let run delay = render_outcome (Runner.run_checked (spec delay)) in
+    (fun (name, (rows, per_recipient), run) ->
       let got = run rows in
       check_bool (name ^ ": runs") false
         (String.starts_with ~prefix:"invalid: " got);
@@ -749,6 +1011,72 @@ let test_rows_taken () =
   check ints "one entry per delivery" [ 0; 1; 2; 3; 0; 1; 2; 3; 0; 1; 2; 3 ]
     dsts;
   check Alcotest.string "same run" per_recipient rows
+
+(* The stamp of a shared window: the same, and >= 0, for every recipient
+   of an all-row round, fresh in each such round, and -1 in a mixed round
+   (here the adversary's round-1 plans share round 2's bucket with the
+   honest rows) and on the per-recipient path.  Every node broadcasts in
+   every round and records what its inbox showed. *)
+module Stamped = struct
+  type input = unit
+  type msg = int
+  type output = unit
+  type state = unit
+
+  let name = "stamped"
+  let equal_msg = Int.equal
+  let seen = ref []
+  let init (_ : Protocol.ctx) () ~outbox = Outbox.broadcast outbox 0
+
+  let step (ctx : Protocol.ctx) () ~round ~inbox ~outbox =
+    seen := (round, ctx.me, Inbox.stamp inbox) :: !seen;
+    Outbox.broadcast outbox round
+
+  let output () = None
+  let phase () = "stamped"
+  let inert () = false
+end
+
+module E_stamped = Engine.Make (Stamped)
+
+let test_inbox_stamps () =
+  let stamps delay =
+    Stamped.seen := [];
+    let adversary =
+      Adversary.named "round-1 plan" (fun view ->
+          if view.Adversary.round = 1 then
+            [ { Adversary.src = 3; dst = 0; msg = 7 } ]
+          else [])
+    in
+    let cfg = Config.with_byzantine ~delay ~max_rounds:4 ~n:4 ~t_max:1 [ 3 ] () in
+    ignore (E_stamped.run_exn cfg ~inputs:(fun _ -> ()) ~adversary ());
+    fun round ->
+      List.sort compare
+        (List.filter_map
+           (fun (r, me, stamp) -> if r = round then Some (me, stamp) else None)
+           !Stamped.seen)
+  in
+  let at = stamps Delay.Synchronous in
+  let shared round =
+    match at round with
+    | (_, s) :: _ as l ->
+        check_bool (Printf.sprintf "round %d: one stamp, >= 0" round) true
+          (s >= 0 && List.for_all (fun (_, s') -> s' = s) l);
+        check_int (Printf.sprintf "round %d: every node" round) 3
+          (List.length l);
+        s
+    | [] -> Alcotest.fail "no recipients"
+  in
+  let s1 = shared 1 and s3 = shared 3 in
+  check_bool "a fresh stamp per shared window" true (s1 <> s3);
+  let pairs = Alcotest.(list (pair int int)) in
+  check pairs "mixed round: -1" [ (0, -1); (1, -1); (2, -1) ] (at 2);
+  let per_recipient = stamps (per_recipient_delay 1) in
+  List.iter
+    (fun round ->
+      check pairs "per-recipient path: -1" [ (0, -1); (1, -1); (2, -1) ]
+        (per_recipient round))
+    [ 1; 2; 3 ]
 
 let () =
   Alcotest.run "sim"
@@ -801,5 +1129,7 @@ let () =
           Alcotest.test_case "row path equals per-recipient path" `Quick
             test_rows_equal_per_recipient;
           Alcotest.test_case "row path taken" `Quick test_rows_taken;
+          Alcotest.test_case "inbox stamps a shared window" `Quick
+            test_inbox_stamps;
         ] );
     ]
